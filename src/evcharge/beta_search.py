@@ -8,14 +8,14 @@ between grid points is re-verified on a finer grid after fitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import linprog
 
 from .mdp import MdpConfig, solve
-from .policy_eval import TauDist, ThresholdPolicyFamily, estimate
+from .policy_eval import PracticalMetrics, TauDist, ThresholdPolicyFamily, estimate
 from .price_model import PriceGrid, PriceModelParams
 from .risk import RiskSchedule
 
@@ -71,10 +71,6 @@ class MonotoneFit:
         return npoly.polyval2d(np.asarray(lam, dtype=float),
                                np.asarray(alpha, dtype=float),
                                self.coefficient_matrix())
-
-
-def evaluate(fit: MonotoneFit, lam: float, alpha: float) -> float:
-    return float(fit(lam, alpha))
 
 
 def default_constraint_grid(n: int = 50) -> np.ndarray:
@@ -186,6 +182,7 @@ class PipelineResult:
     reward_fit: MonotoneFit
     risk_fit: MonotoneFit
     rows: tuple[SelectionRow, ...]
+    rn: PracticalMetrics      # metrics of the risk-neutral (lam = 0) family
 
 
 def solve_family(lam: float, alpha: float, cfg: MdpConfig, pm: PriceModelParams,
@@ -193,12 +190,8 @@ def solve_family(lam: float, alpha: float, cfg: MdpConfig, pm: PriceModelParams,
     """Solve the MDP at every reservation length needed by the tau distribution."""
     sols = {}
     for T in horizons:
-        cfg_t = MdpConfig(r_max=cfg.r_max, x_max=cfg.x_max, c_f=cfg.c_f,
-                          p_ref=cfg.p_ref, gamma_h=cfg.gamma_h, horizon=int(T),
-                          r0=cfg.r0, gamma_y_kind=cfg.gamma_y_kind,
-                          gamma_y_cap=cfg.gamma_y_cap)
         beta = RiskSchedule.homogeneous(lam, alpha, int(T))
-        sols[int(T)] = solve(cfg_t, beta, pm, grid)
+        sols[int(T)] = solve(replace(cfg, horizon=int(T)), beta, pm, grid)
     return ThresholdPolicyFamily(sols)
 
 
@@ -207,11 +200,20 @@ def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
              degree: int = 10, constraint_grid: np.ndarray | None = None,
              risk_kind: str = "indicator", delta: float = 0.3) -> PipelineResult:
     """Three-step selection: estimate metrics for sampled betas, fit both
-    surfaces, then re-solve and re-simulate the recommendation for each epsilon."""
+    surfaces, then solve and simulate the recommendation for each epsilon.
+
+    Each distinct effective beta is solved and simulated once.  Alpha plays no
+    part when lam = 0, so every risk-neutral pair, the RN anchor included,
+    shares one evaluation."""
+    cache: dict[tuple[float, float], PracticalMetrics] = {}
+
     def measure(lam, alpha):
-        family = solve_family(lam, alpha, cfg, pm, grid, tau_dist.horizons)
-        return estimate(family, tau_dist, cfg, pm, p0, n_paths, seed,
-                        risk_kind=risk_kind, delta=delta)
+        key = (float(lam), float(alpha)) if lam > 0 else (0.0, 0.5)
+        if key not in cache:
+            family = solve_family(*key, cfg, pm, grid, tau_dist.horizons)
+            cache[key] = estimate(family, tau_dist, cfg, pm, p0, n_paths, seed,
+                                  risk_kind=risk_kind, delta=delta)
+        return cache[key]
 
     samples = []
     for lam, alpha in sample_grid:
@@ -223,13 +225,10 @@ def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
     risk_fit = fit(samples, "risk", degree, constraint_grid)
 
     rows = []
-    cache: dict[tuple[float, float], object] = {}
     for eps in epsilons:
         sel = select_beta(reward_fit, risk_fit, float(eps))
-        key = (sel.lam, sel.alpha)
-        if key not in cache:
-            cache[key] = measure(sel.lam, sel.alpha)
-        m = cache[key]
+        m = measure(sel.lam, sel.alpha)
         rows.append(SelectionRow(float(eps), sel.lam, sel.alpha, sel.feasible,
                                  m.reward, m.reward_se, m.risk, m.risk_se))
-    return PipelineResult(tuple(samples), reward_fit, risk_fit, tuple(rows))
+    return PipelineResult(tuple(samples), reward_fit, risk_fit, tuple(rows),
+                          measure(0.0, 0.5))

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 config error, 2 runtime numeric error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -41,15 +42,10 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else preset(args.preset)
     if args.seed is not None:
-        cfg = __import__("dataclasses").replace(cfg, seed=args.seed)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out_dir is not None:
-        cfg = __import__("dataclasses").replace(cfg, output_dir=args.out_dir)
+        cfg = dataclasses.replace(cfg, output_dir=args.out_dir)
     return cfg
-
-
-def _mdp_at_horizon(cfg: ExperimentConfig, horizon: int) -> mdp.MdpConfig:
-    import dataclasses
-    return dataclasses.replace(cfg.mdp, horizon=horizon)
 
 
 def cmd_solve(args) -> int:
@@ -57,7 +53,7 @@ def cmd_solve(args) -> int:
     horizon = args.horizon or cfg.mdp.horizon
     grid = cfg.build_grid()
     beta = RiskSchedule.homogeneous(args.lam, args.alpha, horizon)
-    sol = mdp.solve(_mdp_at_horizon(cfg, horizon), beta, cfg.pm, grid)
+    sol = mdp.solve(dataclasses.replace(cfg.mdp, horizon=horizon), beta, cfg.pm, grid)
 
     out = cfg.output_dir
     _write_csv(os.path.join(out, "thresholds.csv"), ["t", "p", "threshold"],
@@ -83,7 +79,7 @@ def cmd_verify(args) -> int:
         return EXIT_CONFIG
     horizon = args.horizon or cfg.mdp.horizon
     grid = cfg.build_grid()
-    mcfg = _mdp_at_horizon(cfg, horizon)
+    mcfg = dataclasses.replace(cfg.mdp, horizon=horizon)
 
     rows = []
     failed = False
@@ -166,16 +162,7 @@ def cmd_pipeline(args) -> int:
     default_m = policy_eval.estimate(
         policy_eval.ContinuousChargePolicy(cfg.mdp), cfg.tau, cfg.mdp, cfg.pm,
         cfg.p0, cfg.n_paths, cfg.seed, risk_kind=cfg.risk_kind, delta=cfg.delta)
-    rn_sample = next((s for s in result.samples if s.lam == 0.0), None)
-    if rn_sample is None:
-        rn_family = beta_search.solve_family(0.0, 0.5, cfg.mdp, cfg.pm, grid,
-                                             cfg.tau.horizons)
-        m = policy_eval.estimate(rn_family, cfg.tau, cfg.mdp, cfg.pm, cfg.p0,
-                                 cfg.n_paths, cfg.seed, risk_kind=cfg.risk_kind,
-                                 delta=cfg.delta)
-        rn_reward, rn_risk = m.reward, m.risk
-    else:
-        rn_reward, rn_risk = rn_sample.reward, rn_sample.risk
+    rn_reward, rn_risk = result.rn.reward, result.rn.risk
 
     def pct(x, ref):
         return f"{100.0 * x / ref:.1f}" if ref != 0 else "-"

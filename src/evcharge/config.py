@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .mdp import MdpConfig
-from .policy_eval import TauDist
+from .policy_eval import RISK_KINDS, TauDist
 from .price_model import PriceGrid, PriceModelParams, build_grid
+from .risk import RiskParams
 
 
 class ConfigError(ValueError):
@@ -101,6 +103,14 @@ def _require(section: dict, section_name: str, key: str):
     return section[key]
 
 
+def _integer(section: dict, section_name: str, key: str, default: int | None = None) -> int:
+    value = _require(section, section_name, key) if default is None \
+        else section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{section_name}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def from_dict(raw: dict) -> ExperimentConfig:
     for section in ("price_model", "mdp", "tau", "simulation", "beta_search"):
         if section not in raw:
@@ -126,8 +136,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
     mdp_raw = raw["mdp"]
     try:
         mdp = MdpConfig(
-            r_max=_require(mdp_raw, "mdp", "r_max"),
-            x_max=_require(mdp_raw, "mdp", "x_max"),
+            r_max=_integer(mdp_raw, "mdp", "r_max"),
+            x_max=_integer(mdp_raw, "mdp", "x_max"),
             c_f=_require(mdp_raw, "mdp", "c_f"),
             p_ref=_require(mdp_raw, "mdp", "p_ref"),
             gamma_h=_require(mdp_raw, "mdp", "gamma_h"),
@@ -148,11 +158,11 @@ def from_dict(raw: dict) -> ExperimentConfig:
         pm=pm, mdp=mdp, tau=tau,
         grid_span=raw.get("grid_span"),
         p0=float(_require(sim, "simulation", "p0")),
-        n_paths=int(_require(sim, "simulation", "n_paths")),
-        seed=int(_require(sim, "simulation", "seed")),
+        n_paths=_integer(sim, "simulation", "n_paths"),
+        seed=_integer(sim, "simulation", "seed"),
         risk_kind=sim.get("risk_kind", "indicator"),
         delta=float(sim.get("delta", 0.3)),
-        degree=int(bs.get("degree", 10)),
+        degree=_integer(bs, "beta_search", "degree", 10),
         constraint_grid_n=int(bs.get("constraint_grid_n", 50)),
         epsilons=tuple(float(e) for e in bs.get("epsilons", [0.05])),
         sample_lambdas=tuple(float(v) for v in _require(bs, "beta_search", "sample_lambdas")),
@@ -161,6 +171,15 @@ def from_dict(raw: dict) -> ExperimentConfig:
     )
     if cfg.n_paths < 2:
         raise ConfigError("simulation.n_paths must be >= 2")
+    if cfg.risk_kind not in RISK_KINDS:
+        raise ConfigError(f"simulation.risk_kind: unknown practical risk kind "
+                          f"{cfg.risk_kind!r}; expected one of {RISK_KINDS}")
+    for lam, alpha in cfg.sample_grid():
+        try:
+            RiskParams(lam, alpha)
+        except ValueError as exc:
+            raise ConfigError(f"beta_search.sample_lambdas/sample_alphas: sampled beta "
+                              f"({lam}, {alpha}): {exc}") from exc
     return cfg
 
 

@@ -8,12 +8,12 @@ converts once to $/kWh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .price_model import PriceGrid, PriceModelParams, noise_dist, transition_matrix
-from .risk import RiskParams, RiskSchedule, mean_cvar_rows, mean_cvar_values
+from .risk import RiskParams, RiskSchedule, mean_cvar_rows
 
 MWH_PER_KWH = 1e-3  # $/MWh -> $/kWh
 
@@ -64,18 +64,14 @@ class MdpConfig:
             return softplus
         return linear_capped(self.gamma_y_cap)
 
-    @property
-    def gamma_y_lipschitz(self) -> float:
-        # softplus and clip both have slope at most 1 on the $/kWh scale
-        return 1.0
-
     def check_compensation_lipschitz(self, pm: PriceModelParams) -> None:
         """Reject compensation functions too price-sensitive for the threshold
         monotonicity results to apply."""
+        lipschitz = 1.0  # softplus and clip both have slope at most 1 on the $/kWh scale
         bound = np.exp(2.0 * pm.kappa_Y) / self.p_ref
-        if self.gamma_y_lipschitz > bound:
+        if lipschitz > bound:
             raise ValueError(
-                f"gamma_Y Lipschitz constant {self.gamma_y_lipschitz} exceeds the "
+                f"gamma_Y Lipschitz constant {lipschitz} exceeds the "
                 f"admissible bound {bound:.6g}"
             )
 
@@ -83,9 +79,6 @@ class MdpConfig:
         """Energy shortage vs. the continuous-charging benchmark, kWh."""
         bench = min(self.r0 + self.horizon * self.x_max, self.r_max)
         return bench - np.asarray(r)
-
-    def feasible_actions(self, r: int) -> range:
-        return range(0, min(self.r_max - r, self.x_max) + 1)
 
 
 @dataclass(frozen=True)
@@ -117,10 +110,6 @@ class MdpSolution:
         return min(thr - r, self.cfg.x_max)
 
 
-def shortage(r, cfg: MdpConfig):
-    return cfg.shortage(r)
-
-
 def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
                     grid: PriceGrid) -> np.ndarray:
     """Boundary condition: risk of the inconvenience compensation paid one
@@ -129,20 +118,11 @@ def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
     psi = noise_dist(T, pm)
     # deseasonalized next-period price deviation, $/kWh
     y_support = psi.support - pm.seasonality(T + 1)
-    gamma = cfg.gamma_y
-    rho_gamma = np.array([
-        mean_cvar_values(gamma((p * pm.decay + y_support) * MWH_PER_KWH), psi.probs, beta_T)
-        for p in grid.points
-    ])
+    # compensation rate per next-period outcome, one row per current price
+    gamma = cfg.gamma_y((grid.points[:, None] * pm.decay + y_support) * MWH_PER_KWH)
+    rho_gamma = mean_cvar_rows(gamma, psi.probs, beta_T)  # (n_p,)
     h = cfg.shortage(np.arange(cfg.r_max + 1)).astype(float)
     return (1.0 + cfg.gamma_h * h[:, None] + rho_gamma[None, :]) * h[:, None] * cfg.p_ref
-
-
-def terminal_value(r: int, p: float, beta_T: RiskParams, cfg: MdpConfig,
-                   pm: PriceModelParams) -> float:
-    """Scalar convenience wrapper around :func:`terminal_values`."""
-    grid = PriceGrid(np.array([float(p)]))
-    return float(terminal_values(cfg, beta_T, pm, grid)[r, 0])
 
 
 def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
@@ -186,10 +166,6 @@ def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
             raise FloatingPointError(f"non-finite value at t={t}, r={bad[0]}, price index {bad[1]}")
 
     return MdpSolution(cfg, beta, grid, values, post_values, thresholds)
-
-
-def greedy_action(r: int, p: float, t: int, sol: MdpSolution) -> int:
-    return sol.greedy_action(r, p, t)
 
 
 @dataclass(frozen=True)

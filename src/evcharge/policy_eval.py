@@ -15,8 +15,10 @@ import numpy as np
 
 from .mdp import MWH_PER_KWH, MdpConfig, MdpSolution
 from .price_model import PriceModelParams, sample_path
+from .risk import RiskParams, mean_cvar_rows
 
 RISK_KINDS = ("indicator", "compensation", "shortage")
+RISK_AGGS = ("mean", "cvar")
 
 
 @dataclass(frozen=True)
@@ -159,14 +161,17 @@ def _aggregate(outcomes: np.ndarray, how: str, alpha: float, seed: int) -> tuple
     n = len(outcomes)
     if how == "mean":
         return float(outcomes.mean()), float(outcomes.std(ddof=1) / np.sqrt(n))
-    # sample VaR / CVaR across paths with a bootstrap standard error
-    from .risk import cvar_values, var_values
+    # sample CVaR across paths with a bootstrap standard error; one replicate
+    # at a time keeps memory at O(n)
     w = np.full(n, 1.0 / n)
-    func = var_values if how == "var" else cvar_values
-    est = func(outcomes, w, alpha)
+    rp = RiskParams(1.0, alpha)
+
+    def cvar(sample):
+        return float(mean_cvar_rows(sample[None, :], w, rp)[0])
+
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007)))
-    reps = np.array([func(outcomes[rng.integers(0, n, n)], w, alpha) for _ in range(100)])
-    return float(est), float(reps.std(ddof=1))
+    reps = np.array([cvar(outcomes[rng.integers(0, n, n)]) for _ in range(100)])
+    return cvar(outcomes), float(reps.std(ddof=1))
 
 
 def estimate(policy, tau_dist: TauDist, cfg: MdpConfig, pm: PriceModelParams,
@@ -178,6 +183,8 @@ def estimate(policy, tau_dist: TauDist, cfg: MdpConfig, pm: PriceModelParams,
         raise ValueError("n_paths must be >= 2")
     if risk_kind not in RISK_KINDS:
         raise ValueError(f"unknown practical risk kind {risk_kind!r}")
+    if risk_agg not in RISK_AGGS:
+        raise ValueError(f"unknown risk aggregation {risk_agg!r}")
     trajs = simulate(policy, tau_dist, cfg, pm, p0, n_paths, seed)
     rewards = np.array([practical_reward(tr, cfg, pm) for tr in trajs])
     risks = np.array([practical_risk(tr, risk_kind, cfg, pm, delta) for tr in trajs])

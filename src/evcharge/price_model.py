@@ -8,10 +8,10 @@ transitions live on a finite uniform grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 # outcomes below this probability are dropped and the rest renormalized
 DEFAULT_TRIM = 1.5e-3
@@ -94,9 +94,6 @@ class DiscreteDist:
     def mean(self) -> float:
         return float(self.support @ self.probs)
 
-    def shift(self, c: float) -> "DiscreteDist":
-        return DiscreteDist(self.support + c, self.probs)
-
 
 @dataclass(frozen=True)
 class PriceGrid:
@@ -127,8 +124,7 @@ def _interval_mass(mean: float, std: float, edges: np.ndarray) -> np.ndarray:
     """Mass a N(mean, std^2) puts on the intervals (edges[i], edges[i+1]]; a point
     mass when std == 0."""
     if std > 0.0:
-        cdf = norm.cdf(edges, loc=mean, scale=std)
-        return np.diff(cdf)
+        return np.diff(ndtr((edges - mean) / std))
     mass = np.zeros(len(edges) - 1)
     k = np.searchsorted(edges, mean, side="left") - 1
     if 0 <= k < len(mass):

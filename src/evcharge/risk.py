@@ -1,8 +1,9 @@
 """Exact VaR, CVaR, and mean-CVaR functionals on finite discrete distributions.
 
-CVaR is computed by sorting with proportional splitting of the atom at the
-quantile; this equals the Rockafellar-Uryasev infimum exactly and needs no
-solver.
+One row-wise kernel, :func:`mean_cvar_rows`, computes every CVaR: it sorts
+each row and splits the atom at the quantile proportionally, which equals the
+Rockafellar-Uryasev infimum exactly and needs no solver.  The single-
+distribution functions are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -51,55 +52,10 @@ class RiskSchedule:
         return self.per_period[t]
 
 
-def var_values(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
-    """VaR of an unsorted finite cost distribution: the smallest outcome u with
-    P(X <= u) > alpha."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    cum = np.cumsum(probs[order])
-    j = int(np.searchsorted(cum, alpha, side="right"))
-    return float(v[min(j, len(v) - 1)])
-
-
-def cvar_values(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
-    """CVaR of an unsorted finite cost distribution: average of the worst
-    (1 - alpha) mass, splitting the atom at the quantile proportionally."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = probs[order]
-    cum = np.cumsum(w)
-    j = int(np.searchsorted(cum, alpha, side="right"))
-    j = min(j, len(v) - 1)
-    upper = float(v[j + 1:] @ w[j + 1:])
-    return (upper + v[j] * (cum[j] - alpha)) / (1.0 - alpha)
-
-
-def mean_cvar_values(values: np.ndarray, probs: np.ndarray, rp: RiskParams) -> float:
-    mean = float(values @ probs)
-    if rp.lam == 0.0:
-        return mean
-    return (1.0 - rp.lam) * mean + rp.lam * cvar_values(values, probs, rp.alpha)
-
-
-def var_discrete(dist: DiscreteDist, alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    return var_values(dist.support, dist.probs, alpha)
-
-
-def cvar_discrete(dist: DiscreteDist, alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    return cvar_values(dist.support, dist.probs, alpha)
-
-
-def mean_cvar(dist: DiscreteDist, rp: RiskParams) -> float:
-    return mean_cvar_values(dist.support, dist.probs, rp)
-
-
 def mean_cvar_rows(values: np.ndarray, probs: np.ndarray, rp: RiskParams) -> np.ndarray:
     """Row-wise mean-CVaR: values is (n_rows, n_outcomes) against a shared
-    outcome distribution probs.  Used by the backward-induction solver."""
+    outcome distribution probs.  CVaR averages the worst (1 - alpha) mass of
+    each row, splitting the atom at the quantile proportionally."""
     mean = values @ probs
     if rp.lam == 0.0:
         return mean
@@ -116,3 +72,20 @@ def mean_cvar_rows(values: np.ndarray, probs: np.ndarray, rp: RiskParams) -> np.
     upper = vw_cum[:, -1] - vw_cum[rows, j]
     cvar = (upper + v[rows, j] * (cum[rows, j] - rp.alpha)) / (1.0 - rp.alpha)
     return (1.0 - rp.lam) * mean + rp.lam * cvar
+
+
+def var_discrete(dist: DiscreteDist, alpha: float) -> float:
+    """VaR of a finite cost distribution: the smallest outcome u with
+    P(X <= u) > alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    j = int(np.searchsorted(np.cumsum(dist.probs), alpha, side="right"))
+    return float(dist.support[min(j, len(dist.support) - 1)])
+
+
+def cvar_discrete(dist: DiscreteDist, alpha: float) -> float:
+    return mean_cvar(dist, RiskParams(1.0, alpha))
+
+
+def mean_cvar(dist: DiscreteDist, rp: RiskParams) -> float:
+    return float(mean_cvar_rows(dist.support[None, :], dist.probs, rp)[0])

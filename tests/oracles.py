@@ -13,7 +13,7 @@ import numpy as np
 
 from evcharge.mdp import MWH_PER_KWH, MdpConfig
 from evcharge.price_model import PriceGrid, PriceModelParams, next_price_dist, noise_dist
-from evcharge.risk import RiskSchedule, mean_cvar_values
+from evcharge.risk import RiskParams, RiskSchedule
 
 
 def cvar_grid_search(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:
@@ -24,31 +24,46 @@ def cvar_grid_search(values: np.ndarray, probs: np.ndarray, alpha: float) -> flo
     linspace is added as a belt-and-braces check.
     """
     candidates = np.concatenate([values, np.linspace(values.min(), values.max(), 2001)])
-    best = np.inf
-    for u in candidates:
-        obj = u + float(np.maximum(values - u, 0.0) @ probs) / (1.0 - alpha)
-        best = min(best, obj)
-    return best
+    excess = np.maximum(values[None, :] - candidates[:, None], 0.0) @ probs
+    return float((candidates + excess / (1.0 - alpha)).min())
+
+
+def mean_cvar_grid_search(values: np.ndarray, probs: np.ndarray, rp: RiskParams) -> float:
+    """(1 - lam) E[X] + lam CVaR_alpha[X], the CVaR by :func:`cvar_grid_search`."""
+    mean = float(values @ probs)
+    if rp.lam == 0.0:
+        return mean
+    return (1.0 - rp.lam) * mean + rp.lam * cvar_grid_search(values, probs, rp.alpha)
+
+
+def terminal_table(cfg: MdpConfig, rp: RiskParams, pm: PriceModelParams,
+                   grid: PriceGrid) -> np.ndarray:
+    """Terminal values (r_max+1, n_p): the compensation paid one period after
+    the return, its market term weighted by the mean-CVaR of the next price."""
+    T = cfg.horizon
+    decay = np.exp(-pm.kappa_Y)
+    psi = noise_dist(T, pm)
+    y_dev = psi.support - pm.seasonality(T + 1)
+    bench = min(cfg.r0 + T * cfg.x_max, cfg.r_max)
+    term = np.zeros((cfg.r_max + 1, len(grid)))
+    for ip, p in enumerate(grid.points):
+        y = (p * decay + y_dev) * MWH_PER_KWH
+        rho_gamma = mean_cvar_grid_search(cfg.gamma_y(y), psi.probs, rp)
+        for r in range(cfg.r_max + 1):
+            h = bench - r
+            term[r, ip] = (1.0 + cfg.gamma_h * h + rho_gamma) * h * cfg.p_ref
+    return term
 
 
 def risk_neutral_dp(cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid) -> np.ndarray:
     """Plain expected-cost backward induction, coded from scratch with loops."""
     T = cfg.horizon
     n_r, n_p = cfg.r_max + 1, len(grid)
-    decay = np.exp(-pm.kappa_Y)
     p_kwh = grid.points * MWH_PER_KWH
 
     # terminal: expected compensation one period after return
-    psi = noise_dist(T, pm)
-    y_dev = psi.support - pm.seasonality(T + 1)
-    bench = min(cfg.r0 + T * cfg.x_max, cfg.r_max)
     V = np.zeros((T + 1, n_r, n_p))
-    for r in range(n_r):
-        h = bench - r
-        for ip, p in enumerate(grid.points):
-            y = (p * decay + y_dev) * MWH_PER_KWH
-            e_gamma = float(cfg.gamma_y(y) @ psi.probs)
-            V[T, r, ip] = (1.0 + cfg.gamma_h * h + e_gamma) * h * cfg.p_ref
+    V[T] = terminal_table(cfg, RiskParams(0.0, 0.5), pm, grid)
 
     for t in range(T - 1, -1, -1):
         dists = [next_price_dist(p, t, pm, grid) for p in grid.points]
@@ -69,9 +84,7 @@ def enumerate_policies_value(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelP
     """Exact nested-risk optimum for a horizon-2 instance by enumerating every
     deterministic policy on the reachable tree from (r0, grid[ip0])."""
     assert cfg.horizon == 2
-    from evcharge.mdp import terminal_values
-
-    term = terminal_values(cfg, beta[2], pm, grid)  # (n_r, n_p)
+    term = terminal_table(cfg, beta[2], pm, grid)  # (n_r, n_p)
     p_kwh = grid.points * MWH_PER_KWH
     p0 = grid.points[ip0]
 
@@ -88,11 +101,12 @@ def enumerate_policies_value(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelP
             dist1 = next_price_dist(grid.points[ip1], 1, pm, grid)
             out1 = np.array([int(np.argmin(np.abs(grid.points - q))) for q in dist1.support])
             for a, x1 in enumerate(acts1):
-                tail = mean_cvar_values(term[r1 + x1, out1], dist1.probs, beta[1])
+                tail = mean_cvar_grid_search(term[r1 + x1, out1], dist1.probs, beta[1])
                 w1[j, a] = x1 * p_kwh[ip1] - cfg.c_f + tail
         for choice in itertools.product(range(len(acts1)), repeat=len(out0)):
             stage1 = np.array([w1[j, a] for j, a in enumerate(choice)])
-            v0 = x0 * p_kwh[ip0] - cfg.c_f + mean_cvar_values(stage1, dist0.probs, beta[0])
+            v0 = x0 * p_kwh[ip0] - cfg.c_f + mean_cvar_grid_search(stage1, dist0.probs,
+                                                                   beta[0])
             best = min(best, v0)
     return best
 

@@ -21,7 +21,8 @@ from evcharge.policy_eval import (
     practical_risk,
     simulate,
 )
-from evcharge.risk import RiskParams, RiskSchedule, cvar_values, mean_cvar_values
+from evcharge.price_model import DiscreteDist
+from evcharge.risk import RiskParams, RiskSchedule, cvar_discrete
 
 from conftest import DESK_PM, MICRO_PM, desk_cfg, micro_cfg, random_dist
 from oracles import cvar_grid_search, enumerate_policies_value, greedy_from_tables, risk_neutral_dp
@@ -96,14 +97,14 @@ def test_criterion_4_cvar_correctness():
     for _ in range(1000):
         support, probs = random_dist(rng)
         alpha = float(rng.uniform(0.05, 0.95))
-        cvar = cvar_values(support, probs, alpha)
+        cvar = cvar_discrete(DiscreteDist(support, probs), alpha)
         worst_grid = max(worst_grid, abs(cvar - cvar_grid_search(support, probs, alpha)))
         mean = float(support @ probs)
         worst_coherence = max(worst_coherence, mean - cvar)  # cvar >= mean
         for c, a in ((3.0, 2.0), (-7.0, 0.5)):
-            shifted = cvar_values(a * support + c, probs, alpha)
+            shifted = cvar_discrete(DiscreteDist(a * support + c, probs), alpha)
             worst_coherence = max(worst_coherence, abs(shifted - (a * cvar + c)))
-        bumped = cvar_values(support + 1.0, probs, alpha)
+        bumped = cvar_discrete(DiscreteDist(support + 1.0, probs), alpha)
         worst_coherence = max(worst_coherence, cvar + 1.0 - bumped)
     report(4, "cvar correctness",
            worst_grid <= 1e-9 and worst_coherence <= 1e-12,

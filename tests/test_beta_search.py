@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from evcharge import beta_search
 from evcharge.beta_search import (
     BetaSample,
     MonotoneFit,
     default_constraint_grid,
-    evaluate,
     fit,
+    pipeline,
     select_beta,
     verify_monotone,
 )
+from evcharge.config import preset
+from evcharge.policy_eval import TauDist
 
 
 def make_samples(func, n=100, seed=0, noise=0.0):
@@ -34,11 +37,11 @@ class TestFit:
         f = fit(data, "reward", degree=3)
         assert f.l1_error <= 1e-8 * len(data)
         for lam, alpha in [(0.0, 0.0), (1.0, 1.0), (0.3, 0.7)]:
-            assert evaluate(f, lam, alpha) == pytest.approx(plane(lam, alpha), abs=1e-8)
+            assert float(f(lam, alpha)) == pytest.approx(plane(lam, alpha), abs=1e-8)
 
     def test_evaluate_example(self):
         f = fit(make_samples(plane, n=40), "risk", degree=1)
-        assert evaluate(f, 0.5, 0.5) == pytest.approx(0.60, abs=1e-8)
+        assert float(f(0.5, 0.5)) == pytest.approx(0.60, abs=1e-8)
 
     def test_degree_zero_is_l1_constant(self):
         data = [BetaSample(0.1, 0.1, 1.0, 0, 1.0, 0),
@@ -46,7 +49,7 @@ class TestFit:
                 BetaSample(0.9, 0.9, 10.0, 0, 10.0, 0)]
         f = fit(data, "reward", degree=0)
         # l1 best constant is the median
-        assert evaluate(f, 0.3, 0.3) == pytest.approx(2.0, abs=1e-8)
+        assert float(f(0.3, 0.3)) == pytest.approx(2.0, abs=1e-8)
 
     def test_risk_fit_monotone_against_increasing_data(self):
         # data increase in both variables; the constrained fit must refuse to
@@ -133,3 +136,29 @@ def test_default_constraint_grid_shape():
     assert g.shape == (100, 2)
     assert g[:, 0].min() == 0.0 and g[:, 0].max() == 1.0
     assert g[:, 1].min() == pytest.approx(0.005)
+
+
+@pytest.mark.parametrize("sample_grid", [
+    [(0.0, 0.2), (0.0, 0.8), (1.0, 0.2), (1.0, 0.8)],
+    [(0.5, 0.2), (0.5, 0.8), (1.0, 0.2), (1.0, 0.8)],
+], ids=["with_lambda0", "without_lambda0"])
+def test_pipeline_solves_each_effective_beta_once(monkeypatch, sample_grid):
+    cfg = preset("desk_scale")
+    calls = []
+    real = beta_search.solve_family
+
+    def counting(lam, alpha, *args):
+        calls.append((lam, alpha))
+        return real(lam, alpha, *args)
+
+    monkeypatch.setattr(beta_search, "solve_family", counting)
+    result = pipeline(sample_grid, cfg.mdp, cfg.pm, cfg.build_grid(),
+                      TauDist((2, 3), np.array([0.5, 0.5])), [0.1, 0.5], 50, 3, 20.0,
+                      degree=1, constraint_grid=default_constraint_grid(5))
+    assert result.rn.n_paths == 50
+    assert len(calls) == len(set(calls))
+    # alpha plays no part at lam = 0: one risk-neutral solve, shared by the anchor
+    assert sum(lam == 0.0 for lam, _ in calls) == 1
+    for s in result.samples:
+        if s.lam == 0.0:
+            assert (s.reward, s.risk) == (result.rn.reward, result.rn.risk)

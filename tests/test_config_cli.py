@@ -1,9 +1,12 @@
 import copy
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import evcharge
 from evcharge.cli import EXIT_CONFIG, EXIT_OK, EXIT_STRUCTURE, main
 from evcharge.config import (
     DESK_SCALE,
@@ -65,6 +68,35 @@ class TestConfig:
         assert cfg.n_paths == 50
         assert cfg.sample_grid() == [(l, a) for l in (0.0, 0.5, 1.0)
                                      for a in (0.1, 0.5, 0.9)]
+
+
+# (section, key, bad value, field the error must name)
+BAD_FIELDS = [
+    ("mdp", "x_max", 2.5, "mdp.x_max"),
+    ("simulation", "risk_kind", "bogus", "simulation.risk_kind"),
+    ("beta_search", "sample_alphas", [1.0], "sample_alphas"),
+    ("simulation", "n_paths", "abc", "simulation.n_paths"),
+]
+
+
+@pytest.mark.parametrize("section,key,value,named", BAD_FIELDS,
+                         ids=[f"{s}.{k}" for s, k, _, _ in BAD_FIELDS])
+def test_bad_field_fails_at_load(tmp_path, capsys, section, key, value, named):
+    raw = small_raw()
+    raw[section][key] = value
+    with pytest.raises(ConfigError, match=named):
+        from_dict(raw)
+    code = main(["price-check", "--config", write_cfg(tmp_path, raw),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
+def test_cli_import_skips_scipy_stats():
+    src = os.path.dirname(os.path.dirname(evcharge.__file__))
+    probe = "import sys, evcharge.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def write_cfg(tmp_path, raw):

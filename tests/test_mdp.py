@@ -7,10 +7,10 @@ from evcharge.mdp import (
     linear_capped,
     softplus,
     solve,
-    terminal_value,
     terminal_values,
     verify_structure,
 )
+from evcharge.price_model import PriceGrid
 from evcharge.risk import RiskParams, RiskSchedule
 
 from conftest import DESK_PM, MICRO_PM, desk_cfg, micro_cfg
@@ -64,17 +64,18 @@ class TestConfig:
 
 
 class TestTerminal:
-    def test_no_shortage_is_free(self):
+    def test_no_shortage_is_free(self, micro_grid):
         cfg = micro_cfg()
         beta = RiskParams(0.8, 0.9)
-        assert terminal_value(cfg.r_max, 10.0, beta, cfg, MICRO_PM) == 0.0
+        assert np.all(terminal_values(cfg, beta, MICRO_PM, micro_grid)[cfg.r_max] == 0.0)
 
     def test_known_value_without_market_term(self):
         # gamma_Y clipped to zero and gamma_h = 0: payment is h * p_ref exactly
         cfg = MdpConfig(r_max=60, x_max=60, c_f=0.5, p_ref=0.05, gamma_h=0.0,
                         horizon=16, r0=0, gamma_y_kind="linear-capped",
                         gamma_y_cap=0.0)
-        v = terminal_value(40, 35.0, RiskParams(0.5, 0.9), cfg, MICRO_PM)
+        v = terminal_values(cfg, RiskParams(0.5, 0.9), MICRO_PM,
+                            PriceGrid(np.array([35.0])))[40, 0]
         assert v == pytest.approx(20 * 0.05, abs=1e-12)
 
     def test_risk_aversion_never_cheapens_compensation(self, micro_grid):

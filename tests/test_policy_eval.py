@@ -154,6 +154,12 @@ class TestEstimate:
                           risk_agg="cvar", agg_alpha=0.9)
         assert cvar_m.risk >= mean_m.risk - 1e-12
 
+    def test_unknown_risk_agg_rejected(self):
+        cfg = desk_cfg()
+        with pytest.raises(ValueError, match="bogus"):
+            estimate(NeverChargePolicy(), small_tau(), cfg, DESK_PM, 20.0,
+                     n_paths=50, seed=0, risk_agg="bogus")
+
     def test_n_paths_guard(self):
         cfg = desk_cfg()
         with pytest.raises(ValueError):

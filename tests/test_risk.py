@@ -8,15 +8,19 @@ from evcharge.risk import (
     RiskParams,
     RiskSchedule,
     cvar_discrete,
-    cvar_values,
     mean_cvar,
     mean_cvar_rows,
-    mean_cvar_values,
     var_discrete,
 )
 
 from conftest import random_dist
-from oracles import cvar_grid_search
+from oracles import cvar_grid_search, mean_cvar_grid_search
+
+
+def one_row(values, probs, rp):
+    """Mean-CVaR of one outcome vector through the batched kernel; unlike a
+    DiscreteDist, the outcomes may be unsorted or repeated."""
+    return float(mean_cvar_rows(values[None, :], probs, rp)[0])
 
 
 def two_point():
@@ -57,7 +61,7 @@ class TestCvar:
         for _ in range(1000):
             support, probs = random_dist(rng)
             alpha = float(rng.uniform(0.05, 0.95))
-            exact = cvar_values(support, probs, alpha)
+            exact = cvar_discrete(DiscreteDist(support, probs), alpha)
             searched = cvar_grid_search(support, probs, alpha)
             assert exact == pytest.approx(searched, abs=1e-9)
 
@@ -66,7 +70,7 @@ class TestCvar:
         for _ in range(1000):
             support, probs = random_dist(rng)
             alpha = float(rng.uniform(0.05, 0.95))
-            cvar = cvar_values(support, probs, alpha)
+            cvar = cvar_discrete(DiscreteDist(support, probs), alpha)
             var = support[np.searchsorted(np.cumsum(probs), alpha, side="right")]
             assert cvar >= float(support @ probs) - 1e-12
             assert cvar >= var - 1e-12
@@ -88,9 +92,9 @@ class TestMeanCvar:
         for _ in range(50):
             support, probs = random_dist(rng)
             rp = RiskParams(float(rng.uniform(0, 1)), float(rng.uniform(0.05, 0.95)))
-            base = mean_cvar_values(support, probs, rp)
+            base = one_row(support, probs, rp)
             for c in (-5.0, 2.5):
-                shifted = mean_cvar_values(support + c, probs, rp)
+                shifted = one_row(support + c, probs, rp)
                 assert shifted == pytest.approx(base + c, abs=1e-12)
 
     def test_positive_homogeneity(self):
@@ -98,9 +102,9 @@ class TestMeanCvar:
         for _ in range(50):
             support, probs = random_dist(rng)
             rp = RiskParams(0.6, 0.8)
-            base = mean_cvar_values(support, probs, rp)
+            base = one_row(support, probs, rp)
             for a in (0.0, 0.5, 3.0):
-                scaled = mean_cvar_values(a * support, probs, rp)
+                scaled = one_row(a * support, probs, rp)
                 assert scaled == pytest.approx(a * base, abs=1e-12 * max(1, abs(a * base)))
 
     def test_monotone_in_pointwise_dominance(self):
@@ -109,8 +113,8 @@ class TestMeanCvar:
             support, probs = random_dist(rng)
             bumped = support + rng.random(len(support))  # X' >= X under shared index
             rp = RiskParams(0.7, 0.6)
-            lo = mean_cvar_values(support, probs, rp)
-            hi = mean_cvar_values(bumped, probs, rp)
+            lo = one_row(support, probs, rp)
+            hi = one_row(bumped, probs, rp)
             assert hi >= lo - 1e-12
 
     def test_nondecreasing_in_lambda_and_alpha(self):
@@ -119,14 +123,14 @@ class TestMeanCvar:
         lams = np.linspace(0, 1, 9)
         alphas = np.linspace(0.1, 0.9, 9)
         for alpha in alphas:
-            vals = [mean_cvar_values(support, probs, RiskParams(l, alpha)) for l in lams]
+            vals = [one_row(support, probs, RiskParams(l, alpha)) for l in lams]
             assert np.all(np.diff(vals) >= -1e-12)
         for lam in lams:
-            vals = [mean_cvar_values(support, probs, RiskParams(lam, a)) for a in alphas]
+            vals = [one_row(support, probs, RiskParams(lam, a)) for a in alphas]
             assert np.all(np.diff(vals) >= -1e-12)
 
 
-def test_mean_cvar_rows_matches_scalar():
+def test_mean_cvar_rows_matches_grid_search():
     rng = np.random.default_rng(9)
     probs = rng.random(12)
     probs /= probs.sum()
@@ -134,7 +138,8 @@ def test_mean_cvar_rows_matches_scalar():
     rp = RiskParams(0.65, 0.85)
     batched = mean_cvar_rows(values, probs, rp)
     for i in range(7):
-        assert batched[i] == pytest.approx(mean_cvar_values(values[i], probs, rp), abs=1e-12)
+        assert batched[i] == pytest.approx(mean_cvar_grid_search(values[i], probs, rp),
+                                           abs=1e-12)
 
 
 @given(
@@ -149,8 +154,8 @@ def test_translation_invariance_property(values, lam, alpha, shift):
     probs = np.full(len(values), 1.0 / len(values))
     probs[-1] += 1.0 - probs.sum()
     rp = RiskParams(lam, alpha)
-    base = mean_cvar_values(values, probs, rp)
-    assert mean_cvar_values(values + shift, probs, rp) == pytest.approx(
+    base = one_row(values, probs, rp)
+    assert one_row(values + shift, probs, rp) == pytest.approx(
         base + shift, abs=1e-9)
 
 
