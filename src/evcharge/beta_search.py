@@ -14,7 +14,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import linprog
 
-from .mdp import MdpConfig, solve
+from .mdp import MdpConfig, _Kernels, _solve
 from .policy_eval import PracticalMetrics, TauDist, ThresholdPolicyFamily, estimate
 from .price_model import PriceGrid, PriceModelParams
 from .risk import RiskSchedule
@@ -187,11 +187,14 @@ class PipelineResult:
 
 def solve_family(lam: float, alpha: float, cfg: MdpConfig, pm: PriceModelParams,
                  grid: PriceGrid, horizons) -> ThresholdPolicyFamily:
-    """Solve the MDP at every reservation length needed by the tau distribution."""
+    """Solve the MDP at every reservation length needed by the tau distribution.
+
+    The horizons share one set of transition matrices and risk kernels."""
+    kernels = _Kernels(pm, grid)
     sols = {}
     for T in horizons:
         beta = RiskSchedule.homogeneous(lam, alpha, int(T))
-        sols[int(T)] = solve(replace(cfg, horizon=int(T)), beta, pm, grid)
+        sols[int(T)] = _solve(replace(cfg, horizon=int(T)), beta, pm, grid, kernels)
     return ThresholdPolicyFamily(sols)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -97,80 +98,123 @@ DESK_SCALE = {
 PRESETS = {"full_scale": FULL_SCALE, "desk_scale": DESK_SCALE}
 
 
-def _require(section: dict, section_name: str, key: str):
-    if key not in section:
+_REQUIRED = object()
+
+
+def _section(raw: dict, name: str) -> dict:
+    if name not in raw:
+        raise ConfigError(f"missing required section {name}")
+    if not isinstance(raw[name], dict):
+        raise ConfigError(f"section {name} must be a mapping, got {raw[name]!r}")
+    return raw[name]
+
+
+def _value(section: dict, section_name: str, key: str, default=_REQUIRED):
+    if key in section:
+        return section[key]
+    if default is _REQUIRED:
         raise ConfigError(f"missing required field {section_name}.{key}")
-    return section[key]
+    return default
 
 
-def _integer(section: dict, section_name: str, key: str, default: int | None = None) -> int:
-    value = _require(section, section_name, key) if default is None \
-        else section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def _is_integer(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _integer(section: dict, section_name: str, key: str, default=_REQUIRED) -> int:
+    value = _value(section, section_name, key, default)
+    if not _is_integer(value):
         raise ConfigError(f"{section_name}.{key} must be an integer, got {value!r}")
     return int(value)
 
 
-def from_dict(raw: dict) -> ExperimentConfig:
-    for section in ("price_model", "mdp", "tau", "simulation", "beta_search"):
-        if section not in raw:
-            raise ConfigError(f"missing required section {section}")
+def _number(section: dict, section_name: str, key: str, default=_REQUIRED) -> float:
+    value = _value(section, section_name, key, default)
+    if not _is_number(value):
+        raise ConfigError(f"{section_name}.{key} must be a finite number, got {value!r}")
+    return float(value)
 
-    pm_raw = raw["price_model"]
+
+def _list(section: dict, section_name: str, key: str, default=_REQUIRED,
+          integers: bool = False) -> tuple:
+    values = _value(section, section_name, key, default)
+    is_element = _is_integer if integers else _is_number
+    if not isinstance(values, (list, tuple)) or not all(is_element(v) for v in values):
+        what = "integers" if integers else "finite numbers"
+        raise ConfigError(f"{section_name}.{key} must be a list of {what}, got {values!r}")
+    return tuple(int(v) if integers else float(v) for v in values)
+
+
+def from_dict(raw: dict) -> ExperimentConfig:
+    pm_raw, mdp_raw, tau_raw, sim, bs = (
+        _section(raw, name) for name in ("price_model", "mdp", "tau", "simulation", "beta_search"))
+
+    pm_fields = {k: _number(pm_raw, "price_model", k)
+                 for k in ("kappa_Y", "mu_Y", "sigma_Y", "mu_J", "sigma_J",
+                           "jump_prob", "seas_a", "seas_b", "seas_c")}
+    pm_fields["seas_period"] = _integer(pm_raw, "price_model", "seas_period")
     try:
-        pm = PriceModelParams(**{
-            k: _require(pm_raw, "price_model", k)
-            for k in ("kappa_Y", "mu_Y", "sigma_Y", "mu_J", "sigma_J",
-                      "jump_prob", "seas_a", "seas_b", "seas_c", "seas_period")
-        })
+        pm = PriceModelParams(**pm_fields)
     except ValueError as exc:
         raise ConfigError(f"price_model: {exc}") from exc
 
-    tau_raw = raw["tau"]
+    horizons = _list(tau_raw, "tau", "horizons", integers=True)
+    probs = np.array(_list(tau_raw, "tau", "probs"))
     try:
-        tau = TauDist(tuple(_require(tau_raw, "tau", "horizons")),
-                      np.asarray(_require(tau_raw, "tau", "probs"), dtype=float))
+        tau = TauDist(horizons, probs)
     except ValueError as exc:
         raise ConfigError(f"tau: {exc}") from exc
 
-    mdp_raw = raw["mdp"]
+    mdp_fields = dict(
+        r_max=_integer(mdp_raw, "mdp", "r_max"),
+        x_max=_integer(mdp_raw, "mdp", "x_max"),
+        c_f=_number(mdp_raw, "mdp", "c_f"),
+        p_ref=_number(mdp_raw, "mdp", "p_ref"),
+        gamma_h=_number(mdp_raw, "mdp", "gamma_h"),
+        r0=_integer(mdp_raw, "mdp", "r0", 0),
+        gamma_y_kind=mdp_raw.get("gamma_y_kind", "softplus"),
+        gamma_y_cap=_number(mdp_raw, "mdp", "gamma_y_cap", 1.0),
+    )
     try:
-        mdp = MdpConfig(
-            r_max=_integer(mdp_raw, "mdp", "r_max"),
-            x_max=_integer(mdp_raw, "mdp", "x_max"),
-            c_f=_require(mdp_raw, "mdp", "c_f"),
-            p_ref=_require(mdp_raw, "mdp", "p_ref"),
-            gamma_h=_require(mdp_raw, "mdp", "gamma_h"),
-            horizon=max(tau.horizons),
-            r0=mdp_raw.get("r0", 0),
-            gamma_y_kind=mdp_raw.get("gamma_y_kind", "softplus"),
-            gamma_y_cap=mdp_raw.get("gamma_y_cap", 1.0),
-        )
+        mdp = MdpConfig(horizon=max(tau.horizons), **mdp_fields)
         mdp.check_compensation_lipschitz(pm)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"mdp: {exc}") from exc
 
-    sim = raw["simulation"]
-    bs = raw["beta_search"]
+    grid_span = raw.get("grid_span")
+    if grid_span is not None and not _is_integer(grid_span):
+        raise ConfigError(f"grid_span must be an integer or null, got {grid_span!r}")
     cfg = ExperimentConfig(
         pm=pm, mdp=mdp, tau=tau,
-        grid_span=raw.get("grid_span"),
-        p0=float(_require(sim, "simulation", "p0")),
+        grid_span=grid_span,
+        p0=_number(sim, "simulation", "p0"),
         n_paths=_integer(sim, "simulation", "n_paths"),
         seed=_integer(sim, "simulation", "seed"),
         risk_kind=sim.get("risk_kind", "indicator"),
-        delta=float(sim.get("delta", 0.3)),
+        delta=_number(sim, "simulation", "delta", 0.3),
         degree=_integer(bs, "beta_search", "degree", 10),
-        constraint_grid_n=int(bs.get("constraint_grid_n", 50)),
-        epsilons=tuple(float(e) for e in bs.get("epsilons", [0.05])),
-        sample_lambdas=tuple(float(v) for v in _require(bs, "beta_search", "sample_lambdas")),
-        sample_alphas=tuple(float(v) for v in _require(bs, "beta_search", "sample_alphas")),
+        constraint_grid_n=_integer(bs, "beta_search", "constraint_grid_n", 50),
+        epsilons=_list(bs, "beta_search", "epsilons", [0.05]),
+        sample_lambdas=_list(bs, "beta_search", "sample_lambdas"),
+        sample_alphas=_list(bs, "beta_search", "sample_alphas"),
         output_dir=str(raw.get("output_dir", "out")),
     )
-    if cfg.n_paths < 2:
-        raise ConfigError("simulation.n_paths must be >= 2")
+    for field, value, low in (("grid_span", cfg.grid_span, 0),
+                              ("simulation.n_paths", cfg.n_paths, 2),
+                              ("simulation.seed", cfg.seed, 0),
+                              ("beta_search.degree", cfg.degree, 0),
+                              ("beta_search.constraint_grid_n", cfg.constraint_grid_n, 1)):
+        if value is not None and value < low:
+            raise ConfigError(f"{field} must be >= {low}, got {value}")
     if cfg.risk_kind not in RISK_KINDS:
         raise ConfigError(f"simulation.risk_kind: unknown practical risk kind "
                           f"{cfg.risk_kind!r}; expected one of {RISK_KINDS}")

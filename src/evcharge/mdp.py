@@ -13,9 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .price_model import PriceGrid, PriceModelParams, noise_dist, transition_matrix
-from .risk import RiskParams, RiskSchedule, mean_cvar_rows
+from .risk import RiskParams, RiskSchedule, mean_cvar_kernel, mean_cvar_rows
 
 MWH_PER_KWH = 1e-3  # $/MWh -> $/kWh
+
+# How far V_{t+1}(r, .) may fall below its running maximum along the price grid
+# before row r is scored by the sort-based kernel instead of the linear one.
+# The linear kernel's CVaR falls short of the exact one by at most that drop;
+# the rounding noise in the solver's monotone tables stays below it.
+GRID_ORDER_TOL = 1e-12
 
 
 def softplus(y):
@@ -87,7 +93,9 @@ class MdpSolution:
 
     values[t, r, ip] is V_{t,T}(r, grid[ip]); post_values[t, r~, ip] the
     post-decision value at t < T; thresholds[t, ip] the smallest post-decision
-    minimizer.
+    minimizer.  fallback_rows counts the post-decision entries that the
+    sort-based mean_cvar_rows scored in place of the linear kernel (see
+    _post_decision); it is 0 when V is nondecreasing in price throughout.
     """
 
     cfg: MdpConfig
@@ -96,6 +104,7 @@ class MdpSolution:
     values: np.ndarray        # (T+1, r_max+1, n_p)
     post_values: np.ndarray   # (T,   r_max+1, n_p)
     thresholds: np.ndarray    # (T, n_p) int
+    fallback_rows: int
 
     def threshold_at(self, t: int, p: float) -> int:
         """Threshold at period t for a (possibly off-grid) price p."""
@@ -125,9 +134,57 @@ def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
     return (1.0 + cfg.gamma_h * h[:, None] + rho_gamma[None, :]) * h[:, None] * cfg.p_ref
 
 
+class _Kernels:
+    """Transition matrices per seasonal phase and their mean-CVaR kernels per
+    (phase, risk parameters), built on first use.  One instance serves every
+    horizon of a policy family."""
+
+    def __init__(self, pm: PriceModelParams, grid: PriceGrid):
+        self.pm, self.grid = pm, grid
+        self._trans: dict[int, np.ndarray] = {}
+        self._risk: dict[tuple[int, RiskParams], tuple] = {}
+
+    def __call__(self, t: int, rp: RiskParams):
+        """(P_t, K_t, mask of the rows of P_t whose cumulative mass never
+        passes alpha, where the kernel's tail is incomplete)."""
+        phase = t % self.pm.seas_period
+        if (phase, rp) not in self._risk:
+            if phase not in self._trans:
+                self._trans[phase] = transition_matrix(phase, self.pm, self.grid)
+            trans = self._trans[phase]
+            short = (rp.lam > 0.0) & (np.cumsum(trans, axis=1)[:, -1] <= rp.alpha)
+            self._risk[phase, rp] = (trans, mean_cvar_kernel(trans, rp), short)
+        return self._risk[phase, rp]
+
+
+def _post_decision(v_next: np.ndarray, trans: np.ndarray, kernel: np.ndarray,
+                   short: np.ndarray, rp: RiskParams) -> tuple[np.ndarray, int]:
+    """post[r~, ip], the mean-CVaR of V_{t+1}(r~, P_{t+1}) given P_t = grid[ip],
+    and the number of entries the sort-based fallback scored.
+
+    V_{t+1}(r~, .) is nondecreasing in price, so every row takes its tail at
+    the top of the grid and one product with the linear kernel scores all
+    states.  Rows that fall more than GRID_ORDER_TOL below their running
+    maximum, and prices whose row is short of alpha, are scored per price by
+    mean_cvar_rows on the row's support instead."""
+    post = v_next @ kernel.T
+    falls = (np.maximum.accumulate(v_next, axis=1) - v_next > GRID_ORDER_TOL).any(axis=1)
+    redo = falls[:, None] | short[None, :]
+    for ip in np.flatnonzero(redo.any(axis=0)):
+        rows = np.flatnonzero(redo[:, ip])
+        keep = trans[ip] > 0
+        post[rows, ip] = mean_cvar_rows(v_next[np.ix_(rows, keep)], trans[ip, keep], rp)
+    return post, int(redo.sum())
+
+
 def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
           grid: PriceGrid) -> MdpSolution:
     """Risk-averse backward induction over t = T-1..0."""
+    return _solve(cfg, beta, pm, grid, _Kernels(pm, grid))
+
+
+def _solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
+           grid: PriceGrid, kernels: _Kernels) -> MdpSolution:
     T = cfg.horizon
     if beta.horizon != T:
         raise ValueError(f"risk schedule length {beta.horizon + 1} does not match horizon {T}")
@@ -135,8 +192,7 @@ def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
 
     n_r = cfg.r_max + 1
     n_p = len(grid)
-    p_kwh = grid.points * MWH_PER_KWH
-    r_levels = np.arange(n_r, dtype=float)
+    level_cost = np.arange(n_r, dtype=float)[:, None] * (grid.points * MWH_PER_KWH)
 
     values = np.empty((T + 1, n_r, n_p))
     post_values = np.empty((T, n_r, n_p))
@@ -144,28 +200,25 @@ def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
 
     values[T] = terminal_values(cfg, beta[T], pm, grid)
 
-    pad = np.full(cfg.x_max, np.inf)
+    fallback_rows = 0
+    pad = np.full((cfg.x_max, n_p), np.inf)
     for t in range(T - 1, -1, -1):
-        trans = transition_matrix(t, pm, grid)
-        v_next = values[t + 1]  # (n_r, n_p)
-        for ip in range(n_p):
-            probs = trans[ip]
-            keep = probs > 0
-            post = mean_cvar_rows(v_next[:, keep], probs[keep], beta[t])  # (n_r,)
-            post_values[t, :, ip] = post
-            # smallest minimizer of r~ * p + post(r~) defines the threshold
-            target = r_levels * p_kwh[ip] + post
-            thresholds[t, ip] = int(np.argmin(target))
-            # V_t(r, p) = min over x of x p - c_f + post(r + x); equivalently a
-            # sliding-window min of `target` over reachable post-decision levels
-            win = np.lib.stride_tricks.sliding_window_view(
-                np.concatenate([target, pad]), cfg.x_max + 1)[:n_r]
-            values[t, :, ip] = win.min(axis=1) - r_levels * p_kwh[ip] - cfg.c_f
+        post, n_fallback = _post_decision(values[t + 1], *kernels(t, beta[t]), beta[t])
+        post_values[t] = post
+        fallback_rows += n_fallback
+        # smallest minimizer of r~ * p + post(r~) defines the threshold
+        target = level_cost + post
+        thresholds[t] = np.argmin(target, axis=0)
+        # V_t(r, p) = min over x of x p - c_f + post(r + x); equivalently a
+        # sliding-window min of `target` over reachable post-decision levels
+        win = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([target, pad]), cfg.x_max + 1, axis=0)
+        values[t] = win.min(axis=2) - level_cost - cfg.c_f
         if not np.all(np.isfinite(values[t])):
             bad = np.argwhere(~np.isfinite(values[t]))[0]
             raise FloatingPointError(f"non-finite value at t={t}, r={bad[0]}, price index {bad[1]}")
 
-    return MdpSolution(cfg, beta, grid, values, post_values, thresholds)
+    return MdpSolution(cfg, beta, grid, values, post_values, thresholds, fallback_rows)
 
 
 @dataclass(frozen=True)
@@ -226,16 +279,19 @@ def verify_structure(sol: MdpSolution, tolerance: float = 1e-9) -> StructureRepo
 
 
 def bellman_residual(sol: MdpSolution, pm: PriceModelParams) -> float:
-    """Max |V - RHS of the recursion| over all stored states; consistency gauge."""
+    """Max |V - RHS of the recursion| over all stored states; consistency gauge.
+
+    Takes the min over every feasible charge x explicitly, independently of
+    the solver's sliding window."""
     cfg = sol.cfg
-    worst = 0.0
     p_kwh = sol.grid.points * MWH_PER_KWH
+    x = np.arange(cfg.x_max + 1)
+    dest = np.arange(cfg.r_max + 1)[:, None] + x  # (r, x) -> post-decision level
+    feasible = (dest <= cfg.r_max)[:, :, None]
+    charge = x[None, :, None] * p_kwh - cfg.c_f
+    worst = 0.0
     for t in range(cfg.horizon):
-        for ip in range(len(sol.grid)):
-            post = sol.post_values[t, :, ip]
-            for r in range(cfg.r_max + 1):
-                hi = min(cfg.r_max, r + cfg.x_max)
-                x = np.arange(0, hi - r + 1, dtype=float)
-                rhs = np.min(x * p_kwh[ip] - cfg.c_f + post[r:hi + 1])
-                worst = max(worst, abs(rhs - sol.values[t, r, ip]))
+        post = sol.post_values[t][np.minimum(dest, cfg.r_max)]  # (r, x, n_p)
+        rhs = np.where(feasible, charge + post, np.inf).min(axis=1)
+        worst = max(worst, float(np.abs(rhs - sol.values[t]).max()))
     return worst

@@ -224,13 +224,11 @@ def transition_matrix(t: int, params: PriceModelParams, grid: PriceGrid,
     """Row-stochastic matrix of grid-to-grid price transitions at period t."""
     psi = noise_dist(t, params, trim)
     n = len(grid)
-    mat = np.zeros((n, n))
-    for i, p in enumerate(grid.points):
-        targets = p * params.decay + psi.support
-        idx = grid.nearest_index(targets)
-        np.add.at(mat[i], idx, psi.probs)
-        mat[i] /= mat[i].sum()
-    return mat
+    idx = grid.nearest_index(grid.points[:, None] * params.decay + psi.support)
+    cells = (np.arange(n)[:, None] * n + idx).ravel()
+    weights = np.broadcast_to(psi.probs, idx.shape).ravel()
+    mat = np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
+    return mat / mat.sum(axis=1, keepdims=True)
 
 
 def sample_path(p0: float, horizon: int, seed, params: PriceModelParams,

@@ -3,7 +3,9 @@
 One row-wise kernel, :func:`mean_cvar_rows`, computes every CVaR: it sorts
 each row and splits the atom at the quantile proportionally, which equals the
 Rockafellar-Uryasev infimum exactly and needs no solver.  The single-
-distribution functions are one-row calls of it.
+distribution functions are one-row calls of it.  :func:`mean_cvar_kernel` is
+its linear form for rows already in sorted order, which the solver applies as
+one matrix product.
 """
 
 from __future__ import annotations
@@ -72,6 +74,20 @@ def mean_cvar_rows(values: np.ndarray, probs: np.ndarray, rp: RiskParams) -> np.
     upper = vw_cum[:, -1] - vw_cum[rows, j]
     cvar = (upper + v[rows, j] * (cum[rows, j] - rp.alpha)) / (1.0 - rp.alpha)
     return (1.0 - rp.lam) * mean + rp.lam * cvar
+
+
+def mean_cvar_kernel(trans: np.ndarray, rp: RiskParams) -> np.ndarray:
+    """Linear form of :func:`mean_cvar_rows` for values nondecreasing along the
+    outcome axis.
+
+    Row i reweights the row-stochastic trans[i] so that values @ K[i] is the
+    mean-CVaR of values under trans[i] whenever each row of values is
+    nondecreasing: the upper (1 - alpha) tail is then the last atoms in grid
+    order, with the quantile atom split as mean_cvar_rows splits it."""
+    if rp.lam == 0.0:
+        return trans
+    tail = np.clip(np.cumsum(trans, axis=1) - rp.alpha, 0.0, trans) / (1.0 - rp.alpha)
+    return (1.0 - rp.lam) * trans + rp.lam * tail
 
 
 def var_discrete(dist: DiscreteDist, alpha: float) -> float:

@@ -119,3 +119,19 @@ def greedy_from_tables(sol, t: int, r: int, ip: int) -> int:
     xs = range(0, min(cfg.r_max - r, cfg.x_max) + 1)
     costs = [x * p_kwh - cfg.c_f + post[r + x] for x in xs]
     return int(np.argmin(costs))
+
+
+def bellman_residual_loop(sol) -> float:
+    """Max |V - min over x of (x p - c_f + post(r + x))|, one state at a time."""
+    cfg = sol.cfg
+    p_kwh = sol.grid.points * MWH_PER_KWH
+    worst = 0.0
+    for t in range(cfg.horizon):
+        for ip in range(len(sol.grid)):
+            post = sol.post_values[t, :, ip]
+            for r in range(cfg.r_max + 1):
+                hi = min(cfg.r_max, r + cfg.x_max)
+                x = np.arange(0, hi - r + 1, dtype=float)
+                rhs = np.min(x * p_kwh[ip] - cfg.c_f + post[r:hi + 1])
+                worst = max(worst, abs(rhs - sol.values[t, r, ip]))
+    return worst

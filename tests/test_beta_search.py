@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from evcharge.beta_search import (
     verify_monotone,
 )
 from evcharge.config import preset
+from evcharge.mdp import solve
 from evcharge.policy_eval import TauDist
+from evcharge.risk import RiskSchedule
 
 
 def make_samples(func, n=100, seed=0, noise=0.0):
@@ -162,3 +166,19 @@ def test_pipeline_solves_each_effective_beta_once(monkeypatch, sample_grid):
     for s in result.samples:
         if s.lam == 0.0:
             assert (s.reward, s.risk) == (result.rn.reward, result.rn.risk)
+
+
+@pytest.mark.parametrize("lam,alpha", [(0.0, 0.5), (0.6, 0.8)])
+def test_solve_family_matches_separate_solves(lam, alpha):
+    # the horizons share transition matrices and risk kernels; sharing must not
+    # change a single bit of any solution
+    cfg = preset("desk_scale")
+    grid = cfg.build_grid()
+    family = beta_search.solve_family(lam, alpha, cfg.mdp, cfg.pm, grid, cfg.tau.horizons)
+    for T, sol in family.solutions.items():
+        alone = solve(replace(cfg.mdp, horizon=T), RiskSchedule.homogeneous(lam, alpha, T),
+                      cfg.pm, grid)
+        np.testing.assert_array_equal(sol.values, alone.values)
+        np.testing.assert_array_equal(sol.post_values, alone.post_values)
+        np.testing.assert_array_equal(sol.thresholds, alone.thresholds)
+        assert sol.fallback_rows == alone.fallback_rows == 0

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evcharge
 from evcharge.cli import EXIT_CONFIG, EXIT_OK, EXIT_STRUCTURE, main
@@ -70,26 +72,64 @@ class TestConfig:
                                      for a in (0.1, 0.5, 0.9)]
 
 
-# (section, key, bad value, field the error must name)
+# (section, key, bad value, field the error must name); section None is top level
 BAD_FIELDS = [
     ("mdp", "x_max", 2.5, "mdp.x_max"),
     ("simulation", "risk_kind", "bogus", "simulation.risk_kind"),
     ("beta_search", "sample_alphas", [1.0], "sample_alphas"),
     ("simulation", "n_paths", "abc", "simulation.n_paths"),
+    ("simulation", "p0", "abc", "simulation.p0"),
+    ("simulation", "delta", "abc", "simulation.delta"),
+    ("beta_search", "epsilons", ["x"], "beta_search.epsilons"),
+    ("beta_search", "sample_lambdas", ["x"], "beta_search.sample_lambdas"),
+    ("tau", "horizons", 4, "tau.horizons"),
+    ("mdp", "c_f", "abc", "mdp.c_f"),
+    ("mdp", "p_ref", "abc", "mdp.p_ref"),
+    ("mdp", "gamma_h", "abc", "mdp.gamma_h"),
+    ("mdp", "gamma_y_cap", "abc", "mdp.gamma_y_cap"),
+    ("mdp", "r0", 1.5, "mdp.r0"),
+    ("beta_search", "constraint_grid_n", 2.5, "beta_search.constraint_grid_n"),
+    (None, "grid_span", 20.5, "grid_span"),
 ]
 
 
 @pytest.mark.parametrize("section,key,value,named", BAD_FIELDS,
-                         ids=[f"{s}.{k}" for s, k, _, _ in BAD_FIELDS])
+                         ids=[k if s is None else f"{s}.{k}" for s, k, _, _ in BAD_FIELDS])
 def test_bad_field_fails_at_load(tmp_path, capsys, section, key, value, named):
     raw = small_raw()
-    raw[section][key] = value
+    (raw if section is None else raw[section])[key] = value
     with pytest.raises(ConfigError, match=named):
         from_dict(raw)
     code = main(["price-check", "--config", write_cfg(tmp_path, raw),
                  "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert named in capsys.readouterr().err
+
+
+DELETE = object()
+FIELDS = ([(None, name) for name in DESK_SCALE]
+          + [(section, key) for section, body in DESK_SCALE.items() if isinstance(body, dict)
+             for key in body])
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=4))
+VALUES = (st.just(DELETE) | SCALARS | st.lists(SCALARS, max_size=4)
+          | st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
+
+
+@given(field=st.sampled_from(FIELDS), value=VALUES)
+@settings(max_examples=400, deadline=None)
+def test_any_single_field_mutation_loads_or_raises_config_error(field, value):
+    raw = copy.deepcopy(DESK_SCALE)
+    section, key = field
+    target = raw if section is None else raw[section]
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    try:
+        from_dict(raw)
+    except ConfigError:
+        pass
 
 
 def test_cli_import_skips_scipy_stats():

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evcharge.mdp import (
     MdpConfig,
+    _Kernels,
+    _post_decision,
     bellman_residual,
     linear_capped,
     softplus,
@@ -10,11 +14,25 @@ from evcharge.mdp import (
     terminal_values,
     verify_structure,
 )
-from evcharge.price_model import PriceGrid
-from evcharge.risk import RiskParams, RiskSchedule
+from evcharge.price_model import PriceGrid, transition_matrix
+from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_rows
 
 from conftest import DESK_PM, MICRO_PM, desk_cfg, micro_cfg
-from oracles import enumerate_policies_value, greedy_from_tables, risk_neutral_dp
+from oracles import (
+    bellman_residual_loop,
+    enumerate_policies_value,
+    greedy_from_tables,
+    risk_neutral_dp,
+)
+
+
+def sort_path_post(v_next, trans, rp):
+    """Post-decision table one price at a time through the sort-based kernel."""
+    post = np.empty((v_next.shape[0], trans.shape[0]))
+    for ip, probs in enumerate(trans):
+        keep = probs > 0
+        post[:, ip] = mean_cvar_rows(v_next[:, keep], probs[keep], rp)
+    return post
 
 
 def random_schedule(rng, horizon):
@@ -148,6 +166,18 @@ class TestSolve:
         sol = solve(cfg, RiskSchedule.homogeneous(0.7, 0.85, 3), desk_pm, desk_grid)
         assert bellman_residual(sol, desk_pm) < 1e-10
 
+    def test_bellman_residual_matches_loop(self, desk_pm, desk_grid):
+        cfg = desk_cfg(x_max=4, horizon=3)
+        sol = solve(cfg, RiskSchedule.homogeneous(0.4, 0.7, 3), desk_pm, desk_grid)
+        sol.values[:-1] += np.random.default_rng(3).normal(0.0, 1e-3, sol.values[:-1].shape)
+        assert bellman_residual(sol, desk_pm) == bellman_residual_loop(sol)
+
+    def test_bellman_residual_sees_one_bumped_entry(self, desk_pm, desk_grid):
+        cfg = desk_cfg(x_max=4, horizon=3)
+        sol = solve(cfg, RiskSchedule.homogeneous(0.7, 0.85, 3), desk_pm, desk_grid)
+        sol.values[1, 5, 10] += 1e-6
+        assert bellman_residual(sol, desk_pm) == pytest.approx(1e-6, abs=1e-12)
+
     def test_values_nondecreasing_in_risk_aversion(self, desk_pm, desk_grid):
         cfg = desk_cfg(horizon=3)
         mild = solve(cfg, RiskSchedule.homogeneous(0.2, 0.5, 3), desk_pm, desk_grid)
@@ -162,6 +192,7 @@ class TestStructure:
         sol = solve(cfg, RiskSchedule.homogeneous(lam, alpha, 4), desk_pm, desk_grid)
         report = verify_structure(sol)
         assert report.all_passed, str(report)
+        assert sol.fallback_rows == 0
 
     def test_negative_control_detects_corruption(self, desk_pm, desk_grid):
         cfg = desk_cfg(horizon=3)
@@ -174,3 +205,57 @@ class TestStructure:
         assert convex.location is not None
         t, r, ip = convex.location
         assert t == 1 and ip == 10 and abs(r - 6) <= 1
+
+
+class TestKernelStep:
+    @given(
+        shape=st.sampled_from(["monotone", "noisy", "step-down", "random"]),
+        lam=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        alpha=st.floats(0.01, 0.99),
+        t=st.integers(0, DESK_PM.seas_period - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_step_matches_sort_path(self, desk_grid, shape, lam, alpha, t, seed):
+        rng = np.random.default_rng(seed)
+        rp = RiskParams(lam, alpha)
+        trans, kernel, short = _Kernels(DESK_PM, desk_grid)(t, rp)
+        n_p = len(desk_grid)
+        # nondecreasing rows with flat stretches, where noise makes tiny falls
+        v_next = np.cumsum(rng.exponential(0.05, (6, n_p)) * (rng.random((6, n_p)) < 0.5), axis=1)
+        if shape == "noisy":
+            v_next += rng.uniform(-1e-13, 1e-13, v_next.shape)
+        elif shape == "step-down":
+            r, ip = rng.integers(0, 6), rng.integers(1, n_p)
+            v_next[r, ip:] -= rng.choice([1e-13, 1e-12, 2e-12, 1e-3, 1.0])
+        elif shape == "random":
+            v_next = rng.normal(0.0, 1.0, (6, n_p))
+        post, n_fallback = _post_decision(v_next, trans, kernel, short, rp)
+        np.testing.assert_allclose(post, sort_path_post(v_next, trans, rp), rtol=0, atol=1e-12)
+        # a row falls when it drops more than 1e-12 below its running maximum
+        falls = any(max(row[:i + 1]) - row[i] > 1e-12
+                    for row in v_next for i in range(len(row)))
+        assert (n_fallback > 0) == falls
+
+    def test_short_rows_take_the_sort_path(self, desk_grid):
+        rp = RiskParams(0.6, 0.8)
+        trans, kernel, _ = _Kernels(DESK_PM, desk_grid)(0, rp)
+        v_next = np.cumsum(np.random.default_rng(1).exponential(0.05, (6, len(desk_grid))), axis=1)
+        short = np.zeros(len(desk_grid), dtype=bool)
+        short[[3, 17]] = True
+        post, n_fallback = _post_decision(v_next, trans, kernel, short, rp)
+        want = sort_path_post(v_next, trans, rp)
+        assert n_fallback == 2 * v_next.shape[0]
+        np.testing.assert_allclose(post[:, short], want[:, short], rtol=0, atol=1e-14)
+
+    def test_fallback_on_falling_terminal_rows(self, desk_pm, desk_grid):
+        # r0 + T x_max < r_max, so charges above the benchmark carry a negative
+        # shortage and a terminal value that falls with the price
+        cfg = desk_cfg(x_max=3, horizon=2)
+        beta = RiskSchedule.homogeneous(0.7, 0.9, cfg.horizon)
+        sol = solve(cfg, beta, desk_pm, desk_grid)
+        assert sol.fallback_rows > 0
+        for t in range(cfg.horizon):
+            want = sort_path_post(sol.values[t + 1], transition_matrix(t, desk_pm, desk_grid),
+                                  beta[t])
+            np.testing.assert_allclose(sol.post_values[t], want, rtol=0, atol=1e-12)

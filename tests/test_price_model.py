@@ -167,9 +167,16 @@ def test_sample_path_matches_analytic_transitions(desk_pm, desk_grid):
 
 
 def test_transition_matrix_rows_stochastic(desk_pm, desk_grid):
-    mat = transition_matrix(0, desk_pm, desk_grid)
-    np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(mat >= 0)
+    for t in range(desk_pm.seas_period):
+        mat = transition_matrix(t, desk_pm, desk_grid)
+        np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(mat >= 0)
+        # every row against the one-price distribution, built on its own path
+        for i, p in enumerate(desk_grid.points):
+            d = next_price_dist(p, t, desk_pm, desk_grid)
+            want = np.zeros(len(desk_grid))
+            want[desk_grid.nearest_index(d.support)] = d.probs
+            np.testing.assert_allclose(mat[i], want, rtol=0, atol=1e-15)
 
 
 def test_horizon_validation(full_pm):
