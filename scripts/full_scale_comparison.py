@@ -3,8 +3,10 @@
 risk-neutral policy, a spread of risk-averse policies, and the
 continuous-charging default, on the large price grid with 10^5 paths.
 
-Writes policy_comparison.csv to the output directory.  Expect a runtime of minutes to
-hours depending on --n-paths.
+Writes policy_comparison.csv to the output directory.  With the default 10^5
+paths a run took 4.5 s wall on a 2-core Intel Xeon box (Python 3.11, numpy
+2.4); there a full-scale solve_family takes 0.22 s and a 10^5-path estimate
+0.33-0.40 s.
 """
 
 import argparse

@@ -137,8 +137,9 @@ def cmd_simulate(args) -> int:
                 "risk", "risk_se"], rows)
 
     if args.dump_paths:
-        trajs = policy_eval.simulate(family, cfg.tau, cfg.mdp, cfg.pm, cfg.p0,
+        paths = policy_eval.simulate(family, cfg.tau, cfg.mdp, cfg.pm, cfg.p0,
                                      min(cfg.n_paths, args.dump_paths), cfg.seed)
+        trajs = [paths.trajectory(i) for i in range(len(paths.tau))]
         _write_csv(os.path.join(cfg.output_dir, "trajectories.csv"),
                    ["path_id", "t", "p", "r", "x"],
                    ((i, t, tr.prices[t], int(tr.charges[t]),
@@ -168,16 +169,16 @@ def cmd_pipeline(args) -> int:
         return f"{100.0 * x / ref:.1f}" if ref != 0 else "-"
 
     out = cfg.output_dir
-    table = [("Default", "-", "-", default_m.reward, pct(default_m.reward, rn_reward),
+    table = [("Default", "-", "-", "-", default_m.reward, pct(default_m.reward, rn_reward),
               default_m.risk, pct(default_m.risk, rn_risk))]
     for row in result.rows:
-        table.append((_fmt(row.epsilon), row.lam, row.alpha, row.reward,
-                      pct(row.reward, rn_reward), row.risk, pct(row.risk, rn_risk)))
-    table.append(("RN", "-", "-", rn_reward, pct(rn_reward, rn_reward),
+        table.append((_fmt(row.epsilon), row.lam, row.alpha, str(row.feasible).lower(),
+                      row.reward, pct(row.reward, rn_reward), row.risk, pct(row.risk, rn_risk)))
+    table.append(("RN", "-", "-", "-", rn_reward, pct(rn_reward, rn_reward),
                   rn_risk, pct(rn_risk, rn_risk)))
     _write_csv(os.path.join(out, "selection_table.csv"),
-               ["epsilon", "lambda_hat", "alpha_hat", "reward", "reward_pct_of_RN",
-                "risk", "risk_pct_of_RN"], table)
+               ["epsilon", "lambda_hat", "alpha_hat", "feasible", "reward",
+                "reward_pct_of_RN", "risk", "risk_pct_of_RN"], table)
     _write_csv(os.path.join(out, "metrics_samples.csv"),
                ["beta_lambda", "beta_alpha", "reward", "reward_se", "risk", "risk_se"],
                ((s.lam, s.alpha, s.reward, s.reward_se, s.risk, s.risk_se)

@@ -38,6 +38,16 @@ class ExperimentConfig:
     sample_alphas: tuple[float, ...]
     output_dir: str
 
+    def __post_init__(self):
+        # checked here so that a value replaced after loading (--seed) is checked too
+        for field, value, low in (("grid_span", self.grid_span, 0),
+                                  ("simulation.n_paths", self.n_paths, 2),
+                                  ("simulation.seed", self.seed, 0),
+                                  ("beta_search.degree", self.degree, 0),
+                                  ("beta_search.constraint_grid_n", self.constraint_grid_n, 1)):
+            if value is not None and value < low:
+                raise ConfigError(f"{field} must be >= {low}, got {value}")
+
     def build_grid(self) -> PriceGrid:
         return build_grid(self.pm, span=self.grid_span)
 
@@ -208,13 +218,6 @@ def from_dict(raw: dict) -> ExperimentConfig:
         sample_alphas=_list(bs, "beta_search", "sample_alphas"),
         output_dir=str(raw.get("output_dir", "out")),
     )
-    for field, value, low in (("grid_span", cfg.grid_span, 0),
-                              ("simulation.n_paths", cfg.n_paths, 2),
-                              ("simulation.seed", cfg.seed, 0),
-                              ("beta_search.degree", cfg.degree, 0),
-                              ("beta_search.constraint_grid_n", cfg.constraint_grid_n, 1)):
-        if value is not None and value < low:
-            raise ConfigError(f"{field} must be >= {low}, got {value}")
     if cfg.risk_kind not in RISK_KINDS:
         raise ConfigError(f"simulation.risk_kind: unknown practical risk kind "
                           f"{cfg.risk_kind!r}; expected one of {RISK_KINDS}")

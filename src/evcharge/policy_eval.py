@@ -2,9 +2,14 @@
 horizon: practical reward and practical risk with standard errors.
 
 Simulation uses the continuous (undiscretized) price recursion; grid-solved
-threshold policies look up the threshold of the nearest grid price.  Paths are
-reproducible per (seed, path index), so supplying the same seed to two
-policies yields common random numbers.
+threshold policies look up the threshold of the nearest grid price.  Every
+path's tau and price noise are drawn up front, before any policy is consulted,
+and a path's draws depend only on (seed, path index), so supplying the same
+seed to two policies or two start prices yields common random numbers.  All
+paths then step together, one period at a time.
+
+The purchase made at t is priced at P_{t+1}, whereas mdp.solve optimizes the
+cost x P_t, so the simulator scores a cost the solver did not minimize.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import MWH_PER_KWH, MdpConfig, MdpSolution
-from .price_model import PriceModelParams, sample_path
+from .price_model import PriceModelParams, sample_paths
 from .risk import RiskParams, mean_cvar_rows
 
 RISK_KINDS = ("indicator", "compensation", "shortage")
@@ -74,15 +79,24 @@ class PracticalMetrics:
 
 
 class ThresholdPolicyFamily:
-    """The optimal policy family: one solved MDP per reservation length."""
+    """The optimal policy family: one solved MDP per reservation length, its
+    thresholds stacked into one (n_horizons, max horizon, n_p) table."""
 
     def __init__(self, solutions: dict[int, MdpSolution]):
         self.solutions = dict(solutions)
+        self.horizons = np.array(sorted(self.solutions))
+        self.grid = self.solutions[int(self.horizons[0])].grid
+        self.table = np.zeros((len(self.horizons), self.horizons[-1], len(self.grid)), int)
+        for k, h in enumerate(self.horizons):
+            self.table[k, :h] = self.solutions[int(h)].thresholds
 
-    def action(self, t: int, r: int, p: float, tau: int) -> int:
-        if tau not in self.solutions:
-            raise ValueError(f"no solved MDP for horizon {tau}")
-        return self.solutions[tau].greedy_action(r, p, t)
+    def actions(self, t: int, r: np.ndarray, p: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        k = np.minimum(np.searchsorted(self.horizons, tau), len(self.horizons) - 1)
+        missing = self.horizons[k] != tau
+        if missing.any():
+            raise ValueError(f"no solved MDP for horizon {int(tau[missing][0])}")
+        # basestock: charge up to the threshold; simulate caps the step at x_max
+        return np.maximum(self.table[k, t, self.grid.nearest_index(p)] - r, 0)
 
 
 class ContinuousChargePolicy:
@@ -91,69 +105,92 @@ class ContinuousChargePolicy:
     def __init__(self, cfg: MdpConfig):
         self.cfg = cfg
 
-    def action(self, t: int, r: int, p: float, tau: int) -> int:
-        return min(self.cfg.x_max, self.cfg.r_max - r)
+    def actions(self, t: int, r: np.ndarray, p: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        return np.minimum(self.cfg.x_max, self.cfg.r_max - r)
 
 
 class NeverChargePolicy:
-    def action(self, t: int, r: int, p: float, tau: int) -> int:
-        return 0
+    def actions(self, t: int, r: np.ndarray, p: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        return np.zeros_like(r)
+
+
+@dataclass(frozen=True)
+class PathBatch:
+    """n simulated reservations: tau (n,), prices P_0..P_{K+1} (n, K+2),
+    charges R_0..R_K (n, K+1) and actions x_0..x_{K-1} (n, K), with K the
+    largest horizon of the tau distribution.  Past a path's own tau the prices
+    run on, the charge holds and the actions are 0."""
+
+    tau: np.ndarray
+    prices: np.ndarray
+    charges: np.ndarray
+    actions: np.ndarray
+
+    def trajectory(self, i: int) -> Trajectory:
+        tau = int(self.tau[i])
+        return Trajectory(self.prices[i, :tau + 2], self.charges[i, :tau + 1],
+                          self.actions[i, :tau], tau)
+
+
+def draw(tau_dist: TauDist, n_paths: int, seed: int):
+    """tau (n_paths,) and the three price draws of sample_paths, each
+    (n_paths, max horizon + 1).  Each of the four comes from its own child
+    stream of SeedSequence(seed), filled path by path, so a path's draws
+    depend only on (seed, path index)."""
+    tau_rng, normal_rng, jump_u_rng, jump_normal_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4))
+    shape = (n_paths, max(tau_dist.horizons) + 1)
+    return (tau_rng.choice(np.array(tau_dist.horizons), n_paths, p=tau_dist.probs),
+            normal_rng.standard_normal(shape), jump_u_rng.random(shape),
+            jump_normal_rng.standard_normal(shape))
 
 
 def simulate(policy, tau_dist: TauDist, cfg: MdpConfig, pm: PriceModelParams,
-             p0: float, n_paths: int, seed: int) -> list[Trajectory]:
-    """Simulate n_paths reservations.  The random draw sequence (tau, then
-    price noise) does not depend on the policy, so identical seeds give common
-    random numbers across policies."""
-    horizons = np.array(tau_dist.horizons)
-    out = []
-    for i in range(n_paths):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        tau = int(horizons[rng.choice(len(horizons), p=tau_dist.probs)])
-        prices = sample_path(p0, tau + 1, None, pm, rng=rng)
-        charges = np.empty(tau + 1, dtype=int)
-        actions = np.empty(tau, dtype=int)
-        r = cfg.r0
-        charges[0] = r
-        for t in range(tau):
-            x = int(policy.action(t, r, float(prices[t]), tau))
-            x = max(0, min(x, min(cfg.x_max, cfg.r_max - r)))
-            actions[t] = x
-            r += x
-            charges[t + 1] = r
-        out.append(Trajectory(prices, charges, actions, tau))
-    return out
+             p0: float, n_paths: int, seed: int) -> PathBatch:
+    """Simulate n_paths reservations from the draws of draw(), all paths one
+    period at a time."""
+    tau, *noise = draw(tau_dist, n_paths, seed)
+    prices = sample_paths(p0, pm, *noise)
+    actions = np.zeros((n_paths, max(tau_dist.horizons)), dtype=int)
+    r = np.full(n_paths, cfg.r0)
+    for t in range(int(tau.max())):
+        room = np.minimum(cfg.x_max, cfg.r_max - r)
+        actions[:, t] = np.where(t < tau, np.clip(policy.actions(t, r, prices[:, t], tau),
+                                                  0, room), 0)
+        r = r + actions[:, t]
+    charges = cfg.r0 + np.pad(np.cumsum(actions, axis=1), ((0, 0), (1, 0)))
+    return PathBatch(tau, prices, charges, actions)
 
 
-def _benchmark(cfg: MdpConfig, tau: int) -> int:
-    return min(cfg.r0 + tau * cfg.x_max, cfg.r_max)
+def _benchmark(cfg: MdpConfig, tau: np.ndarray) -> np.ndarray:
+    return np.minimum(cfg.r0 + tau * cfg.x_max, cfg.r_max)
 
 
-def compensation(traj: Trajectory, cfg: MdpConfig, pm: PriceModelParams) -> float:
-    """Inconvenience compensation paid at tau + 1, $."""
-    h = _benchmark(cfg, traj.tau) - traj.charges[-1]
-    if h <= 0:
-        return 0.0
-    y = (traj.prices[-1] - pm.seasonality(traj.tau + 1)) * MWH_PER_KWH
-    return float((1.0 + cfg.gamma_h * h + cfg.gamma_y(y)) * h * cfg.p_ref)
+def compensation(paths: PathBatch, cfg: MdpConfig, pm: PriceModelParams) -> np.ndarray:
+    """Per-path inconvenience compensation paid at tau + 1, $."""
+    h = _benchmark(cfg, paths.tau) - paths.charges[:, -1]
+    p_end = paths.prices[np.arange(len(paths.tau)), paths.tau + 1]
+    y = (p_end - pm.seasonality(paths.tau + 1)) * MWH_PER_KWH
+    return np.where(h > 0, (1.0 + cfg.gamma_h * h + cfg.gamma_y(y)) * h * cfg.p_ref, 0.0)
 
 
-def practical_reward(traj: Trajectory, cfg: MdpConfig, pm: PriceModelParams) -> float:
-    """Per-path reward: fees collected minus energy cost minus compensation."""
-    purchases = np.diff(traj.charges)  # = actions
-    energy_cost = float(purchases @ traj.prices[1:traj.tau + 1]) * MWH_PER_KWH
-    return cfg.c_f * traj.tau - energy_cost - compensation(traj, cfg, pm)
+def practical_reward(paths: PathBatch, cfg: MdpConfig, pm: PriceModelParams) -> np.ndarray:
+    """Per-path reward: fees collected minus energy cost minus compensation.
+    The purchase made at t is priced at P_{t+1}."""
+    energy_cost = (paths.actions * paths.prices[:, 1:-1]).sum(axis=1) * MWH_PER_KWH
+    return cfg.c_f * paths.tau - energy_cost - compensation(paths, cfg, pm)
 
 
-def practical_risk(traj: Trajectory, metric_kind: str, cfg: MdpConfig,
-                   pm: PriceModelParams, delta: float = 0.3) -> float:
+def practical_risk(paths: PathBatch, metric_kind: str, cfg: MdpConfig,
+                   pm: PriceModelParams, delta: float = 0.3) -> np.ndarray:
     """Per-path risk outcome for the selected metric kind."""
+    final = paths.charges[:, -1]
     if metric_kind == "indicator":
-        return float(traj.charges[-1] / cfg.r_max <= 1.0 - delta)
+        return (final / cfg.r_max <= 1.0 - delta).astype(float)
     if metric_kind == "compensation":
-        return compensation(traj, cfg, pm)
+        return compensation(paths, cfg, pm)
     if metric_kind == "shortage":
-        return float(_benchmark(cfg, traj.tau) - traj.charges[-1])
+        return (_benchmark(cfg, paths.tau) - final).astype(float)
     raise ValueError(f"unknown practical risk kind {metric_kind!r}")
 
 
@@ -185,9 +222,9 @@ def estimate(policy, tau_dist: TauDist, cfg: MdpConfig, pm: PriceModelParams,
         raise ValueError(f"unknown practical risk kind {risk_kind!r}")
     if risk_agg not in RISK_AGGS:
         raise ValueError(f"unknown risk aggregation {risk_agg!r}")
-    trajs = simulate(policy, tau_dist, cfg, pm, p0, n_paths, seed)
-    rewards = np.array([practical_reward(tr, cfg, pm) for tr in trajs])
-    risks = np.array([practical_risk(tr, risk_kind, cfg, pm, delta) for tr in trajs])
+    paths = simulate(policy, tau_dist, cfg, pm, p0, n_paths, seed)
+    rewards = practical_reward(paths, cfg, pm)
+    risks = practical_risk(paths, risk_kind, cfg, pm, delta)
     risk, risk_se = _aggregate(risks, risk_agg, agg_alpha, seed)
     return PracticalMetrics(
         reward=float(rewards.mean()),

@@ -231,23 +231,24 @@ def transition_matrix(t: int, params: PriceModelParams, grid: PriceGrid,
     return mat / mat.sum(axis=1, keepdims=True)
 
 
-def sample_path(p0: float, horizon: int, seed, params: PriceModelParams,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-    """Simulate P_0..P_horizon from the exact (undiscretized) recursion."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+def sample_paths(p0: float, params: PriceModelParams, normal: np.ndarray,
+                 jump_u: np.ndarray, jump_normal: np.ndarray) -> np.ndarray:
+    """P_0..P_K for every path from the exact (undiscretized) recursion.
+
+    The three (n_paths, K) arrays hold the standard draws of each step: the
+    diffusion normal, the uniform that decides a jump (jump when below
+    jump_prob) and the jump-size normal.
+    """
+    if normal.shape[1] < 1:
+        raise ValueError("paths need at least one step")
     d = params.decay
-    std = np.sqrt(params.diffusion_var)
-    y = p0 - params.seasonality(0)
-    path = np.empty(horizon + 1)
-    path[0] = p0
-    for t in range(horizon):
-        xi = rng.normal(0.0, std) if std > 0 else 0.0
-        jump = 0.0
-        if rng.random() < params.jump_prob:
-            jump = rng.normal(params.mu_J, params.sigma_J) if params.sigma_J > 0 else params.mu_J
-        y = y * d + params.mu_Y * (1.0 - d) + xi + jump
-        path[t + 1] = y + params.seasonality(t + 1)
-    return path
+    shocks = (np.sqrt(params.diffusion_var) * normal + params.mu_Y * (1.0 - d)
+              + np.where(jump_u < params.jump_prob,
+                         params.mu_J + params.sigma_J * jump_normal, 0.0))
+    y = np.empty((normal.shape[0], normal.shape[1] + 1))
+    y[:, 0] = p0 - params.seasonality(0)
+    for t in range(normal.shape[1]):
+        y[:, t + 1] = y[:, t] * d + shocks[:, t]
+    prices = y + params.seasonality(np.arange(normal.shape[1] + 1))
+    prices[:, 0] = p0  # exact, so a start price on a rounding boundary stays put
+    return prices

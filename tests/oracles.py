@@ -135,3 +135,42 @@ def bellman_residual_loop(sol) -> float:
                 rhs = np.min(x * p_kwh[ip] - cfg.c_f + post[r:hi + 1])
                 worst = max(worst, abs(rhs - sol.values[t, r, ip]))
     return worst
+
+
+def simulate_path_by_path(policy: str, cfg: MdpConfig, pm: PriceModelParams, p0: float,
+                          tau, normal, jump_u, jump_normal, solutions=None):
+    """Reference for policy_eval.simulate: walks one path at a time through its
+    row of the drawn arrays with scalar arithmetic.
+
+    policy is 'default', 'never' or 'threshold' (the basestock rule on
+    solutions[tau].thresholds at the nearest grid price).  Returns per-path
+    lists of prices P_0..P_{tau+1}, charges R_0..R_tau and actions.
+    """
+    decay = np.exp(-pm.kappa_Y)
+    std = pm.sigma_Y * np.sqrt((1.0 - np.exp(-2.0 * pm.kappa_Y)) / (2.0 * pm.kappa_Y))
+    out = []
+    for i, T in enumerate(int(v) for v in tau):
+        y = p0 - pm.seasonality(0)
+        prices = [p0]
+        for t in range(T + 1):
+            jump = pm.mu_J + pm.sigma_J * jump_normal[i, t] if jump_u[i, t] < pm.jump_prob else 0.0
+            y = y * decay + pm.mu_Y * (1.0 - decay) + std * normal[i, t] + jump
+            prices.append(y + pm.seasonality(t + 1))
+        r = cfg.r0
+        charges, actions = [r], []
+        for t in range(T):
+            room = min(cfg.x_max, cfg.r_max - r)
+            if policy == "default":
+                x = room
+            elif policy == "never":
+                x = 0
+            else:
+                sol = solutions[T]
+                points = sol.grid.points
+                ip = min(max(round((prices[t] - points[0]) / sol.grid.step), 0), len(points) - 1)
+                x = min(max(int(sol.thresholds[t, ip]) - r, 0), room)
+            r += x
+            actions.append(x)
+            charges.append(r)
+        out.append((prices, charges, actions))
+    return out

@@ -149,9 +149,8 @@ def test_criterion_6_fast_regime_compatibility(desk_pm, desk_grid):
     n_paths = 1000
     risks = {}
     for key, fam in fams.items():
-        trajs = simulate(fam, tau, cfg, desk_pm, 20.0, n_paths, seed=106)
-        risks[key] = np.array([
-            practical_risk(tr, "indicator", cfg, desk_pm) for tr in trajs])
+        paths = simulate(fam, tau, cfg, desk_pm, 20.0, n_paths, seed=106)
+        risks[key] = practical_risk(paths, "indicator", cfg, desk_pm)
     path_violations = 0
     for (l1, a1) in BETA_GRID_5X5:
         for (l2, a2) in BETA_GRID_5X5:

@@ -1,4 +1,5 @@
 import copy
+import csv
 import os
 import subprocess
 import sys
@@ -209,3 +210,20 @@ class TestCli:
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_STRUCTURE}) == 3
+
+    def test_seed_flag_checked_like_config_seed(self, tmp_path, capsys):
+        code = main(["simulate", "--preset", "desk_scale", "--seed", "-1",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "simulation.seed" in capsys.readouterr().err
+
+    def test_pipeline_marks_infeasible_budget(self, tmp_path):
+        raw = small_raw()
+        raw["beta_search"]["epsilons"] = [-0.5, 0.5]  # indicator risks lie in [0, 1]
+        out = str(tmp_path / "out")
+        assert main(["pipeline", "--config", write_cfg(tmp_path, raw),
+                     "--out-dir", out]) == EXIT_OK
+        with open(os.path.join(out, "selection_table.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["epsilon"], r["feasible"]) for r in rows] == [
+            ("Default", "-"), ("-0.500000", "false"), ("0.500000", "true"), ("RN", "-")]

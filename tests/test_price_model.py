@@ -10,7 +10,7 @@ from evcharge.price_model import (
     build_grid,
     next_price_dist,
     noise_dist,
-    sample_path,
+    sample_paths,
     transition_matrix,
 )
 
@@ -113,28 +113,32 @@ def test_conditional_mean_drift_decreasing(desk_pm, desk_grid):
     assert np.all(np.diff(means) < 1e-9)
 
 
+def standard_draws(rng, n, steps):
+    """The three standard draws sample_paths takes, each (n, steps)."""
+    return (rng.standard_normal((n, steps)), rng.random((n, steps)),
+            rng.standard_normal((n, steps)))
+
+
 def test_sample_path_deterministic_decay():
     pm = PriceModelParams(kappa_Y=0.341, mu_Y=0.0, sigma_Y=0.0, mu_J=0.0, sigma_J=0.0,
                           jump_prob=0.0, seas_a=0.0, seas_b=0.0, seas_c=0.0, seas_period=4)
-    path = sample_path(10.0, 2, seed=0, params=pm)
+    paths = sample_paths(10.0, pm, *standard_draws(np.random.default_rng(0), 3, 2))
     d = pm.decay
-    np.testing.assert_allclose(path, [10.0, 10.0 * d, 10.0 * d**2], rtol=1e-12)
+    np.testing.assert_allclose(paths, [[10.0, 10.0 * d, 10.0 * d**2]] * 3, rtol=1e-12)
 
 
 def test_sample_path_seed_determinism(full_pm):
-    a = sample_path(35.0, 20, seed=123, params=full_pm)
-    b = sample_path(35.0, 20, seed=123, params=full_pm)
-    np.testing.assert_array_equal(a, b)
-    c = sample_path(35.0, 20, seed=124, params=full_pm)
-    assert not np.array_equal(a, c)
+    def paths(seed):
+        return sample_paths(35.0, full_pm, *standard_draws(np.random.default_rng(seed), 4, 20))
+
+    a = paths(123)
+    np.testing.assert_array_equal(a, paths(123))
+    assert not np.array_equal(a, paths(124))
 
 
 def test_sample_path_one_step_mean(full_pm):
     n = 100_000
-    rng = np.random.default_rng(5)
-    samples = np.empty(n)
-    for i in range(n):
-        samples[i] = sample_path(35.0, 1, None, full_pm, rng=rng)[1]
+    samples = sample_paths(35.0, full_pm, *standard_draws(np.random.default_rng(5), n, 1))[:, 1]
     psi_mean = (full_pm.noise_drift(0) + full_pm.jump_prob * full_pm.mu_J)
     analytic = 35.0 * full_pm.decay + psi_mean
     se = samples.std(ddof=1) / np.sqrt(n)
@@ -148,12 +152,8 @@ def test_sample_path_matches_analytic_transitions(desk_pm, desk_grid):
 
     n = 40_000
     p0 = float(desk_grid.points[20])
-    rng = np.random.default_rng(11)
-    hits = np.zeros(len(desk_grid))
-    for i in range(n):
-        p1 = sample_path(p0, 1, None, desk_pm, rng=rng)[1]
-        hits[desk_grid.nearest_index(p1)] += 1
-    empirical = hits / n
+    p1 = sample_paths(p0, desk_pm, *standard_draws(np.random.default_rng(11), n, 1))[:, 1]
+    empirical = np.bincount(desk_grid.nearest_index(p1), minlength=len(desk_grid)) / n
 
     edges = np.concatenate([[-np.inf], desk_grid.points[:-1] + 0.5, [np.inf]])
     mean = p0 * desk_pm.decay + desk_pm.noise_drift(0)
@@ -181,4 +181,4 @@ def test_transition_matrix_rows_stochastic(desk_pm, desk_grid):
 
 def test_horizon_validation(full_pm):
     with pytest.raises(ValueError):
-        sample_path(35.0, 0, seed=0, params=full_pm)
+        sample_paths(35.0, full_pm, *standard_draws(np.random.default_rng(0), 3, 0))
