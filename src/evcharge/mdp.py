@@ -106,18 +106,6 @@ class MdpSolution:
     thresholds: np.ndarray    # (T, n_p) int
     fallback_rows: int
 
-    def threshold_at(self, t: int, p: float) -> int:
-        """Threshold at period t for a (possibly off-grid) price p."""
-        return int(self.thresholds[t, self.grid.nearest_index(p)])
-
-    def greedy_action(self, r: int, p: float, t: int) -> int:
-        if t >= self.cfg.horizon:
-            raise ValueError("no decision at or after the horizon")
-        thr = self.threshold_at(t, p)
-        if r > thr:
-            return 0
-        return min(thr - r, self.cfg.x_max)
-
 
 def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
                     grid: PriceGrid) -> np.ndarray:

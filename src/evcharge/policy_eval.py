@@ -80,23 +80,28 @@ class PracticalMetrics:
 
 class ThresholdPolicyFamily:
     """The optimal policy family: one solved MDP per reservation length, its
-    thresholds stacked into one (n_horizons, max horizon, n_p) table."""
+    thresholds stacked into one table indexed by (tau, t, grid price), zero
+    past each horizon."""
 
     def __init__(self, solutions: dict[int, MdpSolution]):
         self.solutions = dict(solutions)
-        self.horizons = np.array(sorted(self.solutions))
-        self.grid = self.solutions[int(self.horizons[0])].grid
-        self.table = np.zeros((len(self.horizons), self.horizons[-1], len(self.grid)), int)
-        for k, h in enumerate(self.horizons):
-            self.table[k, :h] = self.solutions[int(h)].thresholds
+        self.grid = next(iter(self.solutions.values())).grid
+        max_h = max(self.solutions)
+        self.solved = np.zeros(max_h + 1, bool)
+        self.x_max = np.zeros(max_h + 1, int)
+        self.table = np.zeros((max_h + 1, max_h, len(self.grid)), int)
+        for h, sol in self.solutions.items():
+            self.solved[h] = True
+            self.x_max[h] = sol.cfg.x_max
+            self.table[h, :h] = sol.thresholds
 
     def actions(self, t: int, r: np.ndarray, p: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        k = np.minimum(np.searchsorted(self.horizons, tau), len(self.horizons) - 1)
-        missing = self.horizons[k] != tau
-        if missing.any():
-            raise ValueError(f"no solved MDP for horizon {int(tau[missing][0])}")
-        # basestock: charge up to the threshold; simulate caps the step at x_max
-        return np.maximum(self.table[k, t, self.grid.nearest_index(p)] - r, 0)
+        """Basestock: charge up to the threshold at the nearest grid price, at
+        most x_max per period."""
+        if tau.max() >= len(self.solved) or not self.solved[tau].all():
+            missing = min(set(tau.tolist()) - set(self.solutions))
+            raise ValueError(f"no solved MDP for horizon {missing}")
+        return np.clip(self.table[tau, t, self.grid.nearest_index(p)] - r, 0, self.x_max[tau])
 
 
 class ContinuousChargePolicy:

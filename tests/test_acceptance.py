@@ -17,6 +17,7 @@ from evcharge.mdp import solve, verify_structure
 from evcharge.policy_eval import (
     ContinuousChargePolicy,
     TauDist,
+    ThresholdPolicyFamily,
     estimate,
     practical_risk,
     simulate,
@@ -53,15 +54,16 @@ def test_criterion_1_basestock_exactness(desk_pm, desk_grid):
     states = 0
     for x_max in (3, 12):
         cfg = desk_cfg(x_max=x_max, horizon=6)
+        r, ip = (a.ravel() for a in np.meshgrid(np.arange(cfg.r_max + 1),
+                                                np.arange(len(desk_grid)), indexing="ij"))
         for _ in range(10):
             sol = solve(cfg, random_schedule(rng, 6), desk_pm, desk_grid)
+            family = ThresholdPolicyFamily({6: sol})
             for t in range(6):
-                for r in range(cfg.r_max + 1):
-                    for ip in range(len(desk_grid)):
-                        states += 1
-                        if greedy_from_tables(sol, t, r, ip) != \
-                                sol.greedy_action(r, float(desk_grid.points[ip]), t):
-                            mismatches += 1
+                want = [greedy_from_tables(sol, t, int(r_), int(i)) for r_, i in zip(r, ip)]
+                got = family.actions(t, r, desk_grid.points[ip], np.full(len(r), 6))
+                states += len(r)
+                mismatches += int(np.count_nonzero(got != want))
     elapsed = time.time() - start
     report(1, "basestock exactness", mismatches == 0 and elapsed < 10.0,
            f"{states} states, {mismatches} mismatches, {elapsed:.1f}s")

@@ -14,6 +14,7 @@ from evcharge.mdp import (
     terminal_values,
     verify_structure,
 )
+from evcharge.policy_eval import ThresholdPolicyFamily
 from evcharge.price_model import PriceGrid, transition_matrix
 from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_rows
 
@@ -133,28 +134,35 @@ class TestSolve:
         rng = np.random.default_rng(23)
         beta = random_schedule(rng, cfg.horizon)
         sol = solve(cfg, beta, desk_pm, desk_grid)
+        family = ThresholdPolicyFamily({cfg.horizon: sol})
+        r, ip = (a.ravel() for a in np.meshgrid(np.arange(cfg.r_max + 1),
+                                                np.arange(0, len(desk_grid), 7), indexing="ij"))
+        tau = np.full(len(r), cfg.horizon)
         for t in range(cfg.horizon):
-            for r in range(cfg.r_max + 1):
-                for ip in range(0, len(desk_grid), 7):
-                    want = greedy_from_tables(sol, t, r, ip)
-                    got = sol.greedy_action(r, float(desk_grid.points[ip]), t)
-                    assert got == want
+            want = [greedy_from_tables(sol, t, int(r_), int(i)) for r_, i in zip(r, ip)]
+            got = family.actions(t, r, desk_grid.points[ip], tau)
+            np.testing.assert_array_equal(got, want)
 
     def test_greedy_threshold_formula(self, desk_pm, desk_grid):
         cfg = desk_cfg(x_max=4, horizon=3)
         sol = solve(cfg, RiskSchedule.homogeneous(0.6, 0.8, 3), desk_pm, desk_grid)
+        family = ThresholdPolicyFamily({3: sol})
+        r = np.arange(cfg.r_max + 1)
         for ip in (0, 5, 20, 40):
-            p = float(desk_grid.points[ip])
-            thr = sol.threshold_at(1, p)
-            for r in range(cfg.r_max + 1):
-                want = min(thr - r, cfg.x_max) if r <= thr else 0
-                assert sol.greedy_action(r, p, 1) == want
+            # off the grid point, still nearest to it
+            p = np.full(len(r), desk_grid.points[ip] + 0.4 * desk_grid.step)
+            thr = int(sol.thresholds[1, ip])
+            want = [min(thr - r_, cfg.x_max) if r_ <= thr else 0 for r_ in r]
+            np.testing.assert_array_equal(family.actions(1, r, p, np.full(len(r), 3)), want)
 
     def test_no_action_at_horizon(self, desk_pm, desk_grid):
-        cfg = desk_cfg(horizon=2)
-        sol = solve(cfg, RiskSchedule.homogeneous(0.5, 0.9, 2), desk_pm, desk_grid)
-        with pytest.raises(ValueError):
-            sol.greedy_action(0, 20.0, 2)
+        sols = {T: solve(desk_cfg(horizon=T), RiskSchedule.homogeneous(0.5, 0.9, T),
+                         desk_pm, desk_grid) for T in (2, 3)}
+        family = ThresholdPolicyFamily(sols)
+        r = np.zeros(len(desk_grid), int)
+        tau = np.full(len(r), 2)
+        assert family.actions(1, r, desk_grid.points, tau).any()
+        assert not family.actions(2, r, desk_grid.points, tau).any()
 
     def test_schedule_horizon_mismatch(self, desk_pm, desk_grid):
         with pytest.raises(ValueError):
