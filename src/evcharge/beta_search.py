@@ -15,7 +15,8 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import linprog
 
 from .mdp import MdpConfig, _Kernels, _solve
-from .policy_eval import PracticalMetrics, TauDist, ThresholdPolicyFamily, estimate
+from .policy_eval import (ContinuousChargePolicy, PracticalMetrics, Scenario, TauDist,
+                          ThresholdPolicyFamily)
 from .price_model import PriceGrid, PriceModelParams
 from .risk import RiskSchedule
 
@@ -73,10 +74,14 @@ class MonotoneFit:
                                self.coefficient_matrix())
 
 
+def beta_grid(n_lambda: int, n_alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, alpha) meshgrid over [0, 1] x [0.005, 0.995], indexed (i_lam, i_alpha)."""
+    return np.meshgrid(np.linspace(0.0, 1.0, n_lambda), np.linspace(0.005, 0.995, n_alpha),
+                       indexing="ij")
+
+
 def default_constraint_grid(n: int = 50) -> np.ndarray:
-    lam = np.linspace(0.0, 1.0, n)
-    alpha = np.linspace(0.005, 0.995, n)
-    ll, aa = np.meshgrid(lam, alpha, indexing="ij")
+    ll, aa = beta_grid(n, n)
     return np.column_stack([ll.ravel(), aa.ravel()])
 
 
@@ -121,10 +126,7 @@ def fit(data: list[BetaSample], target: str, degree: int,
 
 def verify_monotone(fit_: MonotoneFit, n: int = 200, tol: float = 1e-6) -> bool:
     """Post-hoc check of nonincreasing partials on a finer grid."""
-    grid = np.column_stack([
-        np.repeat(np.linspace(0.0, 1.0, n), n),
-        np.tile(np.linspace(0.005, 0.995, n), n),
-    ])
+    grid = default_constraint_grid(n)
     for var in (0, 1):
         d = _derivative_design(grid, fit_.powers, var) @ fit_.weights
         if d.max(initial=0.0) > tol:
@@ -141,27 +143,24 @@ class SelectedBeta:
     fitted_risk: float
 
 
-def select_beta(reward_fit: MonotoneFit, risk_fit: MonotoneFit, epsilon: float,
-                n_lambda: int = 201, n_alpha: int = 199) -> SelectedBeta:
-    """Dense-grid maximizer of fitted reward subject to fitted risk <= epsilon.
+def select_beta(reward_fit: MonotoneFit, risk_fit: MonotoneFit, epsilons,
+                n_lambda: int = 201, n_alpha: int = 199) -> tuple[SelectedBeta, ...]:
+    """Dense-grid maximizer of fitted reward subject to fitted risk <= epsilon,
+    for each epsilon, from one evaluation of both surfaces.
 
     Ties break to the lexicographically smallest (lam, alpha); with no feasible
     grid point, the risk-minimizing point is returned flagged infeasible.
     """
-    lam = np.linspace(0.0, 1.0, n_lambda)
-    alpha = np.linspace(0.005, 0.995, n_alpha)
-    ll, aa = np.meshgrid(lam, alpha, indexing="ij")
-    reward = reward_fit(ll, aa)
-    risk = risk_fit(ll, aa)
-    feasible = risk <= epsilon
-    if feasible.any():
-        masked = np.where(feasible, reward, -np.inf)
-        idx = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        return SelectedBeta(float(ll[idx]), float(aa[idx]), True,
-                            float(reward[idx]), float(risk[idx]))
-    idx = np.unravel_index(int(np.argmin(risk)), risk.shape)
-    return SelectedBeta(float(ll[idx]), float(aa[idx]), False,
-                        float(reward[idx]), float(risk[idx]))
+    ll, aa = beta_grid(n_lambda, n_alpha)
+    reward, risk = reward_fit(ll, aa).ravel(), risk_fit(ll, aa).ravel()
+    out = []
+    for eps in epsilons:
+        feasible = risk <= float(eps)
+        found = bool(feasible.any())
+        i = int(np.argmax(np.where(feasible, reward, -np.inf)) if found else np.argmin(risk))
+        out.append(SelectedBeta(float(ll.flat[i]), float(aa.flat[i]), found,
+                                float(reward[i]), float(risk[i])))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -182,15 +181,18 @@ class PipelineResult:
     reward_fit: MonotoneFit
     risk_fit: MonotoneFit
     rows: tuple[SelectionRow, ...]
-    rn: PracticalMetrics      # metrics of the risk-neutral (lam = 0) family
+    rn: PracticalMetrics        # metrics of the risk-neutral (lam = 0) family
+    default: PracticalMetrics   # metrics of continuous charging
 
 
 def solve_family(lam: float, alpha: float, cfg: MdpConfig, pm: PriceModelParams,
-                 grid: PriceGrid, horizons) -> ThresholdPolicyFamily:
+                 grid: PriceGrid, horizons, trans: dict | None = None) -> ThresholdPolicyFamily:
     """Solve the MDP at every reservation length needed by the tau distribution.
 
-    The horizons share one set of transition matrices and risk kernels."""
-    kernels = _Kernels(pm, grid)
+    The horizons share one set of transition matrices and risk kernels.  The
+    matrices are kept by seasonal phase in trans, when given, so that families
+    solved on one (pm, grid) with one trans dict build each matrix once."""
+    kernels = _Kernels(pm, grid, trans)
     sols = {}
     for T in horizons:
         beta = RiskSchedule.homogeneous(lam, alpha, int(T))
@@ -205,17 +207,20 @@ def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
     """Three-step selection: estimate metrics for sampled betas, fit both
     surfaces, then solve and simulate the recommendation for each epsilon.
 
-    Each distinct effective beta is solved and simulated once.  Alpha plays no
-    part when lam = 0, so every risk-neutral pair, the RN anchor included,
-    shares one evaluation."""
+    What no beta changes is built once: the transition matrices, and one
+    Scenario on which every family and the continuous-charging Default are
+    scored.  Each distinct effective beta is solved and scored once.  Alpha
+    plays no part when lam = 0, so every risk-neutral pair, the RN anchor
+    included, shares one evaluation."""
+    trans: dict = {}
+    scenario = Scenario.sample(tau_dist, pm, p0, n_paths, seed)
     cache: dict[tuple[float, float], PracticalMetrics] = {}
 
     def measure(lam, alpha):
         key = (float(lam), float(alpha)) if lam > 0 else (0.0, 0.5)
         if key not in cache:
-            family = solve_family(*key, cfg, pm, grid, tau_dist.horizons)
-            cache[key] = estimate(family, tau_dist, cfg, pm, p0, n_paths, seed,
-                                  risk_kind=risk_kind, delta=delta)
+            family = solve_family(*key, cfg, pm, grid, tau_dist.horizons, trans)
+            cache[key] = scenario.score(family, cfg, risk_kind=risk_kind, delta=delta)
         return cache[key]
 
     samples = []
@@ -228,10 +233,10 @@ def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
     risk_fit = fit(samples, "risk", degree, constraint_grid)
 
     rows = []
-    for eps in epsilons:
-        sel = select_beta(reward_fit, risk_fit, float(eps))
+    for eps, sel in zip(epsilons, select_beta(reward_fit, risk_fit, epsilons)):
         m = measure(sel.lam, sel.alpha)
         rows.append(SelectionRow(float(eps), sel.lam, sel.alpha, sel.feasible,
                                  m.reward, m.reward_se, m.risk, m.risk_se))
+    default = scenario.score(ContinuousChargePolicy(cfg), cfg, risk_kind=risk_kind, delta=delta)
     return PipelineResult(tuple(samples), reward_fit, risk_fit, tuple(rows),
-                          measure(0.0, 0.5))
+                          measure(0.0, 0.5), default)

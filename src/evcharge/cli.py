@@ -125,11 +125,10 @@ def cmd_simulate(args) -> int:
         "default": policy_eval.ContinuousChargePolicy(cfg.mdp),
         "never": policy_eval.NeverChargePolicy(),
     }
+    scenario = policy_eval.Scenario.sample(cfg.tau, cfg.pm, cfg.p0, cfg.n_paths, cfg.seed)
     rows = []
     for name, pol in policies.items():
-        m = policy_eval.estimate(pol, cfg.tau, cfg.mdp, cfg.pm, cfg.p0,
-                                 cfg.n_paths, cfg.seed, risk_kind=cfg.risk_kind,
-                                 delta=cfg.delta)
+        m = scenario.score(pol, cfg.mdp, risk_kind=cfg.risk_kind, delta=cfg.delta)
         lam, alpha = (args.lam, args.alpha) if name == "threshold" else ("-", "-")
         rows.append((name, lam, alpha, m.reward, m.reward_se, m.risk, m.risk_se))
     _write_csv(os.path.join(cfg.output_dir, "metrics.csv"),
@@ -137,14 +136,13 @@ def cmd_simulate(args) -> int:
                 "risk", "risk_se"], rows)
 
     if args.dump_paths:
-        paths = policy_eval.simulate(family, cfg.tau, cfg.mdp, cfg.pm, cfg.p0,
-                                     min(cfg.n_paths, args.dump_paths), cfg.seed)
-        trajs = [paths.trajectory(i) for i in range(len(paths.tau))]
+        paths = scenario.simulate(family, cfg.mdp)
         _write_csv(os.path.join(cfg.output_dir, "trajectories.csv"),
                    ["path_id", "t", "p", "r", "x"],
-                   ((i, t, tr.prices[t], int(tr.charges[t]),
-                     int(tr.actions[t]) if t < tr.tau else 0)
-                    for i, tr in enumerate(trajs) for t in range(tr.tau + 1)))
+                   ((i, t, paths.prices[i, t], int(paths.charges[i, t]),
+                     int(paths.actions[i, t]) if t < tau else 0)
+                    for i, tau in enumerate(paths.tau[:args.dump_paths])
+                    for t in range(tau + 1)))
     for row in rows:
         print(f"{row[0]}: reward={_fmt(row[3])} risk={_fmt(row[5])}")
     return EXIT_OK
@@ -159,23 +157,19 @@ def cmd_pipeline(args) -> int:
         cfg.n_paths, cfg.seed, cfg.p0, degree=cfg.degree, constraint_grid=cg,
         risk_kind=cfg.risk_kind, delta=cfg.delta)
 
-    # anchor policies: continuous-charging default and the risk-neutral MDP
-    default_m = policy_eval.estimate(
-        policy_eval.ContinuousChargePolicy(cfg.mdp), cfg.tau, cfg.mdp, cfg.pm,
-        cfg.p0, cfg.n_paths, cfg.seed, risk_kind=cfg.risk_kind, delta=cfg.delta)
-    rn_reward, rn_risk = result.rn.reward, result.rn.risk
-
     def pct(x, ref):
         return f"{100.0 * x / ref:.1f}" if ref != 0 else "-"
 
+    def line(label, lam, alpha, feasible, m):
+        return (label, lam, alpha, feasible, m.reward, pct(m.reward, result.rn.reward),
+                m.risk, pct(m.risk, result.rn.risk))
+
+    # bracketed by the anchor policies: continuous-charging default and the risk-neutral MDP
     out = cfg.output_dir
-    table = [("Default", "-", "-", "-", default_m.reward, pct(default_m.reward, rn_reward),
-              default_m.risk, pct(default_m.risk, rn_risk))]
-    for row in result.rows:
-        table.append((_fmt(row.epsilon), row.lam, row.alpha, str(row.feasible).lower(),
-                      row.reward, pct(row.reward, rn_reward), row.risk, pct(row.risk, rn_risk)))
-    table.append(("RN", "-", "-", "-", rn_reward, pct(rn_reward, rn_reward),
-                  rn_risk, pct(rn_risk, rn_risk)))
+    table = ([line("Default", "-", "-", "-", result.default)]
+             + [line(_fmt(r.epsilon), r.lam, r.alpha, str(r.feasible).lower(), r)
+                for r in result.rows]
+             + [line("RN", "-", "-", "-", result.rn)])
     _write_csv(os.path.join(out, "selection_table.csv"),
                ["epsilon", "lambda_hat", "alpha_hat", "feasible", "reward",
                 "reward_pct_of_RN", "risk", "risk_pct_of_RN"], table)
@@ -187,12 +181,11 @@ def cmd_pipeline(args) -> int:
                ["epsilon", "lambda_hat", "alpha_hat"],
                ((r.epsilon, r.lam, r.alpha) for r in result.rows))
 
-    lam_grid = np.linspace(0.0, 1.0, 41)
-    alpha_grid = np.linspace(0.005, 0.995, 41)
+    ll, aa = beta_search.beta_grid(41, 41)
     _write_csv(os.path.join(out, "fitted_surfaces.csv"),
                ["lambda", "alpha", "reward_fit", "risk_fit"],
-               ((lam, a, float(result.reward_fit(lam, a)), float(result.risk_fit(lam, a)))
-                for lam in lam_grid for a in alpha_grid))
+               zip(ll.ravel(), aa.ravel(), result.reward_fit(ll, aa).ravel(),
+                   result.risk_fit(ll, aa).ravel()))
     print(f"wrote {out}/selection_table.csv ({len(table)} rows)")
     return EXIT_OK
 

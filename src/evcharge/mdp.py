@@ -8,6 +8,7 @@ converts once to $/kWh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class MdpConfig:
             raise ValueError("x_max must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.p_ref < 0:
+            raise ValueError("p_ref must be >= 0")
         if self.gamma_y_kind not in ("softplus", "linear-capped"):
             raise ValueError(f"unknown gamma_y_kind {self.gamma_y_kind!r}")
 
@@ -74,11 +77,12 @@ class MdpConfig:
         """Reject compensation functions too price-sensitive for the threshold
         monotonicity results to apply."""
         lipschitz = 1.0  # softplus and clip both have slope at most 1 on the $/kWh scale
-        bound = np.exp(2.0 * pm.kappa_Y) / self.p_ref
-        if lipschitz > bound:
+        # in log space, as exp(2 kappa_Y) overflows; p_ref = 0 pays no compensation
+        log_bound = 2.0 * pm.kappa_Y - math.log(self.p_ref) if self.p_ref > 0 else math.inf
+        if math.log(lipschitz) > log_bound:
             raise ValueError(
                 f"gamma_Y Lipschitz constant {lipschitz} exceeds the "
-                f"admissible bound {bound:.6g}"
+                f"admissible bound {math.exp(log_bound):.6g}"
             )
 
     def shortage(self, r) -> np.ndarray:
@@ -123,13 +127,14 @@ def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
 
 
 class _Kernels:
-    """Transition matrices per seasonal phase and their mean-CVaR kernels per
-    (phase, risk parameters), built on first use.  One instance serves every
-    horizon of a policy family."""
+    """Transition matrices per seasonal phase, with their row cumulative sums,
+    and their mean-CVaR kernels per (phase, risk parameters), built on first
+    use.  One instance serves every horizon of a policy family.  The matrices
+    go into trans, a dict by phase that families on one (pm, grid) may share."""
 
-    def __init__(self, pm: PriceModelParams, grid: PriceGrid):
+    def __init__(self, pm: PriceModelParams, grid: PriceGrid, trans: dict | None = None):
         self.pm, self.grid = pm, grid
-        self._trans: dict[int, np.ndarray] = {}
+        self._trans = {} if trans is None else trans
         self._risk: dict[tuple[int, RiskParams], tuple] = {}
 
     def __call__(self, t: int, rp: RiskParams):
@@ -138,10 +143,11 @@ class _Kernels:
         phase = t % self.pm.seas_period
         if (phase, rp) not in self._risk:
             if phase not in self._trans:
-                self._trans[phase] = transition_matrix(phase, self.pm, self.grid)
-            trans = self._trans[phase]
-            short = (rp.lam > 0.0) & (np.cumsum(trans, axis=1)[:, -1] <= rp.alpha)
-            self._risk[phase, rp] = (trans, mean_cvar_kernel(trans, rp), short)
+                trans = transition_matrix(phase, self.pm, self.grid)
+                self._trans[phase] = trans, np.cumsum(trans, axis=1)
+            trans, cum = self._trans[phase]
+            short = (rp.lam > 0.0) & (cum[:, -1] <= rp.alpha)
+            self._risk[phase, rp] = (trans, mean_cvar_kernel(trans, cum, rp), short)
         return self._risk[phase, rp]
 
 

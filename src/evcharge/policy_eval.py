@@ -2,11 +2,11 @@
 horizon: practical reward and practical risk with standard errors.
 
 Simulation uses the continuous (undiscretized) price recursion; grid-solved
-threshold policies look up the threshold of the nearest grid price.  Every
-path's tau and price noise are drawn up front, before any policy is consulted,
-and a path's draws depend only on (seed, path index), so supplying the same
-seed to two policies or two start prices yields common random numbers.  All
-paths then step together, one period at a time.
+threshold policies look up the threshold of the nearest grid price.  A
+Scenario holds every path's tau and prices, drawn before any policy is
+consulted, so the policies scored on one Scenario share common random numbers.
+A path's draws depend only on (seed, path index), so Scenarios with one seed
+share them too.  All paths step together, one period at a time.
 
 The purchase made at t is priced at P_{t+1}, whereas mdp.solve optimizes the
 cost x P_t, so the simulator scores a cost the solver did not minimize.
@@ -51,22 +51,6 @@ class TauDist:
         horizons = tuple(range(4, 17))
         w = np.exp(-np.abs(np.array(horizons, dtype=float) - 5.0) / 6.0)
         return cls(horizons, w / w.sum())
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One simulated reservation: prices P_0..P_{tau+1}, charges R_0..R_tau,
-    actions x_0..x_{tau-1}."""
-
-    prices: np.ndarray
-    charges: np.ndarray
-    actions: np.ndarray
-    tau: int
-
-    def __post_init__(self):
-        if len(self.prices) != self.tau + 2 or len(self.charges) != self.tau + 1 \
-                or len(self.actions) != self.tau:
-            raise ValueError("trajectory arrays inconsistent with tau")
 
 
 @dataclass(frozen=True)
@@ -131,11 +115,6 @@ class PathBatch:
     charges: np.ndarray
     actions: np.ndarray
 
-    def trajectory(self, i: int) -> Trajectory:
-        tau = int(self.tau[i])
-        return Trajectory(self.prices[i, :tau + 2], self.charges[i, :tau + 1],
-                          self.actions[i, :tau], tau)
-
 
 def draw(tau_dist: TauDist, n_paths: int, seed: int):
     """tau (n_paths,) and the three price draws of sample_paths, each
@@ -148,23 +127,6 @@ def draw(tau_dist: TauDist, n_paths: int, seed: int):
     return (tau_rng.choice(np.array(tau_dist.horizons), n_paths, p=tau_dist.probs),
             normal_rng.standard_normal(shape), jump_u_rng.random(shape),
             jump_normal_rng.standard_normal(shape))
-
-
-def simulate(policy, tau_dist: TauDist, cfg: MdpConfig, pm: PriceModelParams,
-             p0: float, n_paths: int, seed: int) -> PathBatch:
-    """Simulate n_paths reservations from the draws of draw(), all paths one
-    period at a time."""
-    tau, *noise = draw(tau_dist, n_paths, seed)
-    prices = sample_paths(p0, pm, *noise)
-    actions = np.zeros((n_paths, max(tau_dist.horizons)), dtype=int)
-    r = np.full(n_paths, cfg.r0)
-    for t in range(int(tau.max())):
-        room = np.minimum(cfg.x_max, cfg.r_max - r)
-        actions[:, t] = np.where(t < tau, np.clip(policy.actions(t, r, prices[:, t], tau),
-                                                  0, room), 0)
-        r = r + actions[:, t]
-    charges = cfg.r0 + np.pad(np.cumsum(actions, axis=1), ((0, 0), (1, 0)))
-    return PathBatch(tau, prices, charges, actions)
 
 
 def _benchmark(cfg: MdpConfig, tau: np.ndarray) -> np.ndarray:
@@ -216,25 +178,57 @@ def _aggregate(outcomes: np.ndarray, how: str, alpha: float, seed: int) -> tuple
     return cvar(outcomes), float(reps.std(ddof=1))
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """n drawn reservations: tau (n,) and the continuous price paths P_0..P_{K+1}
+    (n, K+2) from one start price, K the largest horizon of the tau distribution.
+    Policies are simulated and scored on it without drawing again."""
+
+    tau: np.ndarray
+    prices: np.ndarray
+    pm: PriceModelParams
+    seed: int
+
+    @classmethod
+    def sample(cls, tau_dist: TauDist, pm: PriceModelParams, p0: float, n_paths: int,
+               seed: int) -> "Scenario":
+        """tau and price paths from the draws of draw(tau_dist, n_paths, seed)."""
+        tau, *noise = draw(tau_dist, n_paths, seed)
+        return cls(tau, sample_paths(p0, pm, *noise), pm, seed)
+
+    def simulate(self, policy, cfg: MdpConfig) -> PathBatch:
+        """Every path under policy, all paths one period at a time."""
+        tau, prices = self.tau, self.prices
+        actions = np.zeros((len(tau), prices.shape[1] - 2), dtype=int)
+        r = np.full(len(tau), cfg.r0)
+        for t in range(int(tau.max())):
+            room = np.minimum(cfg.x_max, cfg.r_max - r)
+            actions[:, t] = np.where(t < tau, np.clip(policy.actions(t, r, prices[:, t], tau),
+                                                      0, room), 0)
+            r = r + actions[:, t]
+        charges = cfg.r0 + np.pad(np.cumsum(actions, axis=1), ((0, 0), (1, 0)))
+        return PathBatch(tau, prices, charges, actions)
+
+    def score(self, policy, cfg: MdpConfig, risk_kind: str = "indicator",
+              risk_agg: str = "mean", agg_alpha: float = 0.9,
+              delta: float = 0.3) -> PracticalMetrics:
+        """Estimated practical reward and risk of policy, with standard errors."""
+        n_paths = len(self.tau)
+        if n_paths < 2:
+            raise ValueError("n_paths must be >= 2")
+        if risk_agg not in RISK_AGGS:
+            raise ValueError(f"unknown risk aggregation {risk_agg!r}")
+        paths = self.simulate(policy, cfg)
+        reward = _aggregate(practical_reward(paths, cfg, self.pm), "mean", agg_alpha, self.seed)
+        risk = _aggregate(practical_risk(paths, risk_kind, cfg, self.pm, delta), risk_agg,
+                          agg_alpha, self.seed)
+        return PracticalMetrics(*reward, *risk, n_paths)
+
+
 def estimate(policy, tau_dist: TauDist, cfg: MdpConfig, pm: PriceModelParams,
              p0: float, n_paths: int, seed: int, risk_kind: str = "indicator",
              risk_agg: str = "mean", agg_alpha: float = 0.9,
              delta: float = 0.3) -> PracticalMetrics:
-    """Estimated practical reward and risk with standard errors."""
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    if risk_kind not in RISK_KINDS:
-        raise ValueError(f"unknown practical risk kind {risk_kind!r}")
-    if risk_agg not in RISK_AGGS:
-        raise ValueError(f"unknown risk aggregation {risk_agg!r}")
-    paths = simulate(policy, tau_dist, cfg, pm, p0, n_paths, seed)
-    rewards = practical_reward(paths, cfg, pm)
-    risks = practical_risk(paths, risk_kind, cfg, pm, delta)
-    risk, risk_se = _aggregate(risks, risk_agg, agg_alpha, seed)
-    return PracticalMetrics(
-        reward=float(rewards.mean()),
-        reward_se=float(rewards.std(ddof=1) / np.sqrt(n_paths)),
-        risk=risk,
-        risk_se=risk_se,
-        n_paths=n_paths,
-    )
+    """Scenario.score on a Scenario drawn for this call."""
+    return Scenario.sample(tau_dist, pm, p0, n_paths, seed).score(
+        policy, cfg, risk_kind, risk_agg, agg_alpha, delta)

@@ -76,17 +76,18 @@ def mean_cvar_rows(values: np.ndarray, probs: np.ndarray, rp: RiskParams) -> np.
     return (1.0 - rp.lam) * mean + rp.lam * cvar
 
 
-def mean_cvar_kernel(trans: np.ndarray, rp: RiskParams) -> np.ndarray:
+def mean_cvar_kernel(trans: np.ndarray, cum: np.ndarray, rp: RiskParams) -> np.ndarray:
     """Linear form of :func:`mean_cvar_rows` for values nondecreasing along the
     outcome axis.
 
     Row i reweights the row-stochastic trans[i] so that values @ K[i] is the
     mean-CVaR of values under trans[i] whenever each row of values is
     nondecreasing: the upper (1 - alpha) tail is then the last atoms in grid
-    order, with the quantile atom split as mean_cvar_rows splits it."""
+    order, with the quantile atom split as mean_cvar_rows splits it.  cum is
+    np.cumsum(trans, axis=1)."""
     if rp.lam == 0.0:
         return trans
-    tail = np.clip(np.cumsum(trans, axis=1) - rp.alpha, 0.0, trans) / (1.0 - rp.alpha)
+    tail = np.clip(cum - rp.alpha, 0.0, trans) / (1.0 - rp.alpha)
     return (1.0 - rp.lam) * trans + rp.lam * tail
 
 

@@ -16,11 +16,11 @@ from evcharge.config import DESK_SCALE, preset
 from evcharge.mdp import solve, verify_structure
 from evcharge.policy_eval import (
     ContinuousChargePolicy,
+    Scenario,
     TauDist,
     ThresholdPolicyFamily,
     estimate,
     practical_risk,
-    simulate,
 )
 from evcharge.price_model import DiscreteDist
 from evcharge.risk import RiskParams, RiskSchedule, cvar_discrete
@@ -150,8 +150,9 @@ def test_criterion_6_fast_regime_compatibility(desk_pm, desk_grid):
 
     n_paths = 1000
     risks = {}
+    scenario = Scenario.sample(tau, desk_pm, 20.0, n_paths, 106)
     for key, fam in fams.items():
-        paths = simulate(fam, tau, cfg, desk_pm, 20.0, n_paths, seed=106)
+        paths = scenario.simulate(fam, cfg)
         risks[key] = practical_risk(paths, "indicator", cfg, desk_pm)
     path_violations = 0
     for (l1, a1) in BETA_GRID_5X5:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evcharge import beta_search
+from evcharge import beta_search, mdp
 from evcharge.beta_search import (
     BetaSample,
     MonotoneFit,
@@ -105,18 +105,18 @@ def linear_fit(c0, c_lam, c_alpha):
 
 class TestSelectBeta:
     def test_reward_in_lambda_riskless(self):
-        sel = select_beta(linear_fit(0.0, 1.0, 0.0), const_fit(0.0), epsilon=0.1)
+        (sel,) = select_beta(linear_fit(0.0, 1.0, 0.0), const_fit(0.0), [0.1])
         assert sel.feasible
         assert (sel.lam, sel.alpha) == (1.0, 0.005)
 
     def test_constant_reward_lexicographic_tie_break(self):
-        sel = select_beta(const_fit(3.0), const_fit(0.0), epsilon=0.1)
+        (sel,) = select_beta(const_fit(3.0), const_fit(0.0), [0.1])
         assert (sel.lam, sel.alpha) == (0.0, 0.005)
 
     def test_large_epsilon_is_unconstrained_argmax(self):
         reward = linear_fit(0.0, 2.0, 1.0)
         risk = linear_fit(0.9, -0.5, -0.2)
-        sel = select_beta(reward, risk, epsilon=10.0)
+        (sel,) = select_beta(reward, risk, [10.0])
         assert sel.feasible
         assert (sel.lam, sel.alpha) == (1.0, 0.995)
 
@@ -124,15 +124,27 @@ class TestSelectBeta:
         # reward prefers small lam, risk demands large lam
         reward = linear_fit(1.0, -1.0, 0.0)
         risk = linear_fit(0.8, -0.8, 0.0)
-        sel = select_beta(reward, risk, epsilon=0.2)
+        (sel,) = select_beta(reward, risk, [0.2])
         assert sel.feasible
         assert sel.lam == pytest.approx(0.75, abs=0.01)
         assert sel.fitted_risk <= 0.2 + 1e-12
 
     def test_infeasible_falls_back_to_risk_min(self):
-        sel = select_beta(const_fit(1.0), const_fit(0.5), epsilon=0.1)
+        (sel,) = select_beta(const_fit(1.0), const_fit(0.5), [0.1])
         assert not sel.feasible
         assert sel.fitted_risk == pytest.approx(0.5)
+
+    def test_all_epsilons_at_once_equal_one_at_a_time(self):
+        def falling(lam, alpha):
+            return 0.9 - 0.4 * lam - 0.3 * alpha - 0.1 * lam * alpha
+
+        data = make_samples(falling, n=60, seed=3, noise=0.02)
+        reward, risk = fit(data, "reward", degree=3), fit(data, "risk", degree=3)
+        epsilons = [-1.0, 0.1, 0.25, 0.4, 0.6, 0.85, 2.0]
+        together = select_beta(reward, risk, epsilons)
+        assert together == tuple(select_beta(reward, risk, [e])[0] for e in epsilons)
+        assert [s.feasible for s in together] == [False] + [True] * 6
+        assert len({(s.lam, s.alpha) for s in together}) > 2
 
 
 def test_default_constraint_grid_shape():
@@ -182,3 +194,31 @@ def test_solve_family_matches_separate_solves(lam, alpha):
         np.testing.assert_array_equal(sol.post_values, alone.post_values)
         np.testing.assert_array_equal(sol.thresholds, alone.thresholds)
         assert sol.fallback_rows == alone.fallback_rows == 0
+
+
+def test_shared_tables_change_no_bit(monkeypatch):
+    # families solved with one shared trans dict equal families solved alone,
+    # and each phase's transition matrix is built once for all of them
+    cfg = preset("desk_scale")
+    grid = cfg.build_grid()
+    built = []
+    real = mdp.transition_matrix
+
+    def counting(t, *args):
+        built.append(t)
+        return real(t, *args)
+
+    trans = {}
+    betas = [(0.6, 0.8), (0.0, 0.5), (1.0, 0.98)]
+    with monkeypatch.context() as m:
+        m.setattr(mdp, "transition_matrix", counting)
+        shared = [beta_search.solve_family(lam, alpha, cfg.mdp, cfg.pm, grid,
+                                           cfg.tau.horizons, trans) for lam, alpha in betas]
+    phases = {t % cfg.pm.seas_period for T in cfg.tau.horizons for t in range(T)}
+    assert sorted(built) == sorted(phases)
+    for (lam, alpha), family in zip(betas, shared):
+        alone = beta_search.solve_family(lam, alpha, cfg.mdp, cfg.pm, grid, cfg.tau.horizons)
+        for T, sol in family.solutions.items():
+            np.testing.assert_array_equal(sol.values, alone.solutions[T].values)
+            np.testing.assert_array_equal(sol.post_values, alone.solutions[T].post_values)
+            np.testing.assert_array_equal(sol.thresholds, alone.solutions[T].thresholds)

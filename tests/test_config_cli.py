@@ -6,10 +6,11 @@ import sys
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evcharge
+from evcharge import policy_eval
 from evcharge.cli import EXIT_CONFIG, EXIT_OK, EXIT_STRUCTURE, main
 from evcharge.config import (
     DESK_SCALE,
@@ -118,6 +119,10 @@ VALUES = (st.just(DELETE) | SCALARS | st.lists(SCALARS, max_size=4)
 
 
 @given(field=st.sampled_from(FIELDS), value=VALUES)
+@example(field=("price_model", "kappa_Y"), value=400.0)  # exp(2 kappa) overflows
+@example(field=("price_model", "kappa_Y"), value=1e308)
+@example(field=("mdp", "p_ref"), value=0.0)
+@example(field=("mdp", "p_ref"), value=-0.05)
 @settings(max_examples=400, deadline=None)
 def test_any_single_field_mutation_loads_or_raises_config_error(field, value):
     raw = copy.deepcopy(DESK_SCALE)
@@ -227,3 +232,27 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert [(r["epsilon"], r["feasible"]) for r in rows] == [
             ("Default", "-"), ("-0.500000", "false"), ("0.500000", "true"), ("RN", "-")]
+
+
+def test_pipeline_draws_once_and_scores_default_on_it(tmp_path, monkeypatch):
+    calls = []
+    real = policy_eval.draw
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    path = write_cfg(tmp_path, small_raw())
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(policy_eval, "draw", counting)
+    assert main(["pipeline", "--config", path, "--out-dir", out]) == EXIT_OK
+    assert len(calls) == 1
+    monkeypatch.undo()
+    cfg = load_config(path)
+    want = policy_eval.estimate(policy_eval.ContinuousChargePolicy(cfg.mdp), cfg.tau, cfg.mdp,
+                                cfg.pm, cfg.p0, cfg.n_paths, cfg.seed,
+                                risk_kind=cfg.risk_kind, delta=cfg.delta)
+    with open(os.path.join(out, "selection_table.csv")) as fh:
+        default = next(csv.DictReader(fh))
+    assert default["epsilon"] == "Default"
+    assert (default["reward"], default["risk"]) == (f"{want.reward:.6f}", f"{want.risk:.6f}")

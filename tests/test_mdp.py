@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             MdpConfig(r_max=5, x_max=5, c_f=0.1, p_ref=0.05, gamma_h=0.0,
                       horizon=2, gamma_y_kind="quadratic")
+        with pytest.raises(ValueError, match="p_ref"):
+            MdpConfig(r_max=5, x_max=5, c_f=0.1, p_ref=-0.05, gamma_h=0.0, horizon=2)
 
     def test_gamma_y_kinds(self):
         assert desk_cfg().gamma_y is softplus
@@ -80,6 +84,10 @@ class TestConfig:
         # the softplus slope bound 1 is far below exp(2 kappa)/p_ref, so the
         # guard never fires at sane parameters
         desk_cfg().check_compensation_lipschitz(DESK_PM)
+        # exp(2 kappa) overflows a float here; the log-space comparison does not
+        desk_cfg().check_compensation_lipschitz(replace(DESK_PM, kappa_Y=400.0))
+        with pytest.raises(ValueError, match="admissible bound"):
+            replace(desk_cfg(), p_ref=10.0).check_compensation_lipschitz(DESK_PM)
 
 
 class TestTerminal:

@@ -8,14 +8,13 @@ from evcharge.policy_eval import (
     ContinuousChargePolicy,
     NeverChargePolicy,
     PathBatch,
+    Scenario,
     TauDist,
-    Trajectory,
     compensation,
     draw,
     estimate,
     practical_reward,
     practical_risk,
-    simulate,
 )
 
 from conftest import DESK_PM, desk_cfg
@@ -24,6 +23,10 @@ from oracles import simulate_path_by_path
 
 def small_tau():
     return TauDist((2, 3), np.array([0.5, 0.5]))
+
+
+def small_scenario(n_paths, seed):
+    return Scenario.sample(small_tau(), DESK_PM, 20.0, n_paths, seed)
 
 
 class TestTauDist:
@@ -42,33 +45,24 @@ class TestTauDist:
             TauDist((2,), np.array([0.5, 0.5]))
 
 
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        Trajectory(np.zeros(3), np.zeros(3), np.zeros(1), tau=2)
-
-
 class TestSimulate:
     def test_continuous_policy_fills_battery(self):
         cfg = desk_cfg()
-        paths = simulate(ContinuousChargePolicy(cfg), small_tau(), cfg, DESK_PM,
-                         20.0, 50, seed=3)
-        for i in range(len(paths.tau)):
-            tr = paths.trajectory(i)
-            assert tr.charges[-1] == cfg.r_max  # fast regime: full after one step
-            assert tr.charges[0] == cfg.r0
-            np.testing.assert_array_equal(np.diff(tr.charges), tr.actions)
+        paths = small_scenario(50, 3).simulate(ContinuousChargePolicy(cfg), cfg)
+        assert np.all(paths.charges[:, -1] == cfg.r_max)  # fast regime: full after one step
+        assert np.all(paths.charges[:, 0] == cfg.r0)
+        np.testing.assert_array_equal(np.diff(paths.charges, axis=1), paths.actions)
 
     def test_never_policy_stays_empty(self):
         cfg = desk_cfg()
-        paths = simulate(NeverChargePolicy(), small_tau(), cfg, DESK_PM, 20.0, 20, seed=3)
+        paths = small_scenario(20, 3).simulate(NeverChargePolicy(), cfg)
         assert np.all(paths.charges[:, -1] == 0)
 
     def test_seed_determinism_and_crn(self):
         cfg = desk_cfg()
-        a = simulate(NeverChargePolicy(), small_tau(), cfg, DESK_PM, 20.0, 30, seed=11)
-        b = simulate(NeverChargePolicy(), small_tau(), cfg, DESK_PM, 20.0, 30, seed=11)
-        c = simulate(ContinuousChargePolicy(cfg), small_tau(), cfg, DESK_PM,
-                     20.0, 30, seed=11)
+        a = small_scenario(30, 11).simulate(NeverChargePolicy(), cfg)
+        b = small_scenario(30, 11).simulate(NeverChargePolicy(), cfg)
+        c = small_scenario(30, 11).simulate(ContinuousChargePolicy(cfg), cfg)
         np.testing.assert_array_equal(a.prices, b.prices)
         # identical seed => common random numbers across different policies
         np.testing.assert_array_equal(a.tau, c.tau)
@@ -80,7 +74,7 @@ class TestSimulate:
                 return np.full_like(r, 999)
 
         cfg = desk_cfg()
-        paths = simulate(Greedy(), small_tau(), cfg, DESK_PM, 20.0, 5, seed=0)
+        paths = small_scenario(5, 0).simulate(Greedy(), cfg)
         assert paths.actions.max() <= cfg.x_max
         assert paths.charges.max() <= cfg.r_max
 
@@ -90,7 +84,7 @@ class TestSimulate:
                 return np.ones_like(r)
 
         cfg = desk_cfg()
-        paths = simulate(Greedy(), small_tau(), cfg, DESK_PM, 20.0, 40, seed=5)
+        paths = small_scenario(40, 5).simulate(Greedy(), cfg)
         assert set(paths.tau) == {2, 3}
         for i, tau in enumerate(paths.tau):
             np.testing.assert_array_equal(paths.actions[i], [1] * tau + [0] * (3 - tau))
@@ -99,7 +93,7 @@ class TestSimulate:
     def test_missing_horizon_rejected(self, desk_pm, desk_grid):
         fam = solve_family(0.5, 0.9, desk_cfg(), desk_pm, desk_grid, (2,))
         with pytest.raises(ValueError, match="horizon 3"):
-            simulate(fam, small_tau(), desk_cfg(), desk_pm, 20.0, 20, seed=0)
+            small_scenario(20, 0).simulate(fam, desk_cfg())
 
 
 def _desk_policies():
@@ -117,21 +111,25 @@ def _same_batch(a, b):
 class TestArraySimulator:
     P0 = 30.0  # desk start price at which the threshold policy waits on some paths
 
+    def scenario(self, cfg, n_paths, seed, p0=P0):
+        return Scenario.sample(cfg.tau, cfg.pm, p0, n_paths, seed)
+
     def test_matches_path_by_path_reference(self):
         cfg, policies = _desk_policies()
         n, seed = 300, 17
         tau, *noise = draw(cfg.tau, n, seed)
         waited = 0
         for name, pol in policies.items():
-            paths = simulate(pol, cfg.tau, cfg.mdp, cfg.pm, self.P0, n, seed)
+            paths = self.scenario(cfg, n, seed).simulate(pol, cfg.mdp)
             ref = simulate_path_by_path(name, cfg.mdp, cfg.pm, self.P0, tau, *noise,
                                         solutions=policies["threshold"].solutions)
             np.testing.assert_array_equal(paths.tau, tau)
             for i, (prices, charges, actions) in enumerate(ref):
-                tr = paths.trajectory(i)
-                np.testing.assert_allclose(tr.prices, prices, rtol=1e-12, atol=1e-12)
-                np.testing.assert_array_equal(tr.charges, charges)
-                np.testing.assert_array_equal(tr.actions, actions)
+                T = int(paths.tau[i])
+                np.testing.assert_allclose(paths.prices[i, :T + 2], prices,
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_array_equal(paths.charges[i, :T + 1], charges)
+                np.testing.assert_array_equal(paths.actions[i, :T], actions)
             if name == "threshold":
                 waited = int(np.sum(paths.actions[:, 0] < cfg.mdp.x_max))
         assert waited > 0  # the threshold family does not just copy Default
@@ -139,28 +137,42 @@ class TestArraySimulator:
     def test_first_m_paths_equal_m_path_run(self):
         cfg, policies = _desk_policies()
         for pol in policies.values():
-            big = simulate(pol, cfg.tau, cfg.mdp, cfg.pm, self.P0, 500, 9)
-            small = simulate(pol, cfg.tau, cfg.mdp, cfg.pm, self.P0, 37, 9)
+            big = self.scenario(cfg, 500, 9).simulate(pol, cfg.mdp)
+            small = self.scenario(cfg, 37, 9).simulate(pol, cfg.mdp)
             _same_batch(small, PathBatch(*(getattr(big, f)[:37] for f in
                                            ("tau", "prices", "charges", "actions"))))
 
     def test_common_random_numbers(self):
         cfg, policies = _desk_policies()
-        runs = [simulate(pol, cfg.tau, cfg.mdp, cfg.pm, self.P0, 200, 4)
+        runs = [self.scenario(cfg, 200, 4).simulate(pol, cfg.mdp)
                 for pol in policies.values()]
-        again = simulate(policies["threshold"], cfg.tau, cfg.mdp, cfg.pm, self.P0, 200, 4)
+        again = self.scenario(cfg, 200, 4).simulate(policies["threshold"], cfg.mdp)
         _same_batch(runs[0], again)
         for other in runs[1:]:
             np.testing.assert_array_equal(other.tau, runs[0].tau)
             np.testing.assert_array_equal(other.prices, runs[0].prices)
         # another start price keeps tau and shifts each path by a decaying offset
-        low = simulate(policies["never"], cfg.tau, cfg.mdp, cfg.pm, 20.0, 200, 4)
+        low = self.scenario(cfg, 200, 4, 20.0).simulate(policies["never"], cfg.mdp)
         np.testing.assert_array_equal(low.tau, runs[0].tau)
         offset = (self.P0 - 20.0) * cfg.pm.decay ** np.arange(low.prices.shape[1])
         np.testing.assert_allclose(runs[0].prices - low.prices,
                                    np.broadcast_to(offset, low.prices.shape), atol=1e-9)
-        other_seed = simulate(policies["never"], cfg.tau, cfg.mdp, cfg.pm, self.P0, 200, 5)
+        other_seed = self.scenario(cfg, 200, 5).simulate(policies["never"], cfg.mdp)
         assert not np.array_equal(other_seed.prices, runs[0].prices)
+
+
+def test_scenario_scores_equal_estimate():
+    # one Scenario scores every policy as a fresh estimate with its seed would,
+    # and scoring leaves the shared paths untouched
+    cfg, policies = _desk_policies()
+    scenario = Scenario.sample(cfg.tau, cfg.pm, 30.0, 400, 13)
+    tau, prices = scenario.tau.copy(), scenario.prices.copy()
+    for kind in ("indicator", "compensation", "shortage"):
+        for pol in policies.values():
+            assert scenario.score(pol, cfg.mdp, risk_kind=kind, delta=cfg.delta) == estimate(
+                pol, cfg.tau, cfg.mdp, cfg.pm, 30.0, 400, 13, risk_kind=kind, delta=cfg.delta)
+    np.testing.assert_array_equal(scenario.tau, tau)
+    np.testing.assert_array_equal(scenario.prices, prices)
 
 
 class TestMetrics:
