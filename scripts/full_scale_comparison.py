@@ -3,10 +3,11 @@
 risk-neutral policy, a spread of risk-averse policies, and the
 continuous-charging default, on the large price grid with 10^5 paths.
 
-Writes policy_comparison.csv to the output directory.  With the default 10^5
-paths a run took 4.5 s wall on a 2-core Intel Xeon box (Python 3.11, numpy
-2.4); there a full-scale solve_family takes 0.22 s and a 10^5-path estimate
-0.33-0.40 s.
+All six policies are scored on one Scenario of tau and price paths, so they
+see the same draws.  Writes policy_comparison.csv to the output directory.
+With the default 10^5 paths a run took 2.7-2.8 s wall on a 2-core Intel Xeon
+box (Python 3.11, numpy 2.4); there a full-scale solve_family takes about
+0.21 s.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import time
 from evcharge.beta_search import solve_family
 from evcharge.cli import _write_csv
 from evcharge.config import preset
-from evcharge.policy_eval import ContinuousChargePolicy, estimate
+from evcharge.policy_eval import ContinuousChargePolicy, Scenario
 
 
 def main(argv=None) -> int:
@@ -35,9 +36,11 @@ def main(argv=None) -> int:
     print(f"price grid: {len(grid)} points; horizons {cfg.tau.horizons[0]}"
           f"..{cfg.tau.horizons[-1]}; {n_paths} paths")
 
+    # one draw of tau and price paths, on which every policy is scored
+    scenario = Scenario.sample(cfg.tau, cfg.pm, cfg.p0, n_paths, seed)
+
     def measure(policy):
-        return estimate(policy, cfg.tau, cfg.mdp, cfg.pm, cfg.p0, n_paths,
-                        seed, risk_kind=cfg.risk_kind, delta=cfg.delta)
+        return scenario.score(policy, cfg.mdp, risk_kind=cfg.risk_kind, delta=cfg.delta)
 
     betas = [(0.0, 0.5), (0.25, 0.5), (0.5, 0.5), (0.75, 0.75), (1.0, 0.95)]
     rows = []

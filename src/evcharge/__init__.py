@@ -4,7 +4,7 @@ selection."""
 
 from .mdp import MdpConfig, MdpSolution, solve, verify_structure
 from .price_model import DiscreteDist, PriceGrid, PriceModelParams, build_grid
-from .risk import RiskParams, RiskSchedule, cvar_discrete, mean_cvar, var_discrete
+from .risk import RiskParams, RiskSchedule
 
 __all__ = [
     "DiscreteDist",
@@ -15,9 +15,6 @@ __all__ = [
     "RiskParams",
     "RiskSchedule",
     "build_grid",
-    "cvar_discrete",
-    "mean_cvar",
     "solve",
-    "var_discrete",
     "verify_structure",
 ]

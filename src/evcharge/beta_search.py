@@ -2,19 +2,20 @@
 surfaces for practical reward and risk, and pick the best feasible pair.
 
 The risk surface is fitted under nonincreasing-partial-derivative constraints
-enforced on a finite grid, solved as a single l1 linear program.  Monotonicity
-between grid points is re-verified on a finer grid after fitting.
+enforced on a finite grid, solved as a single l1 linear program.
+:func:`verify_monotone`, when called, re-checks monotonicity between those
+grid points on a finer grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import linprog
 
-from .mdp import MdpConfig, _Kernels, _solve
+from .mdp import MdpConfig, solve_horizons
 from .policy_eval import (ContinuousChargePolicy, PracticalMetrics, Scenario, TauDist,
                           ThresholdPolicyFamily)
 from .price_model import PriceGrid, PriceModelParams
@@ -54,24 +55,19 @@ def _derivative_design(points: np.ndarray, powers: np.ndarray, var: int) -> np.n
 
 @dataclass(frozen=True)
 class MonotoneFit:
-    """Monomial-basis surface; when constrained, nonincreasing in both
-    variables on the constraint grid by construction."""
+    """Monomial-basis surface; a risk fit is nonincreasing in both variables
+    on the constraint grid by construction."""
 
     weights: np.ndarray
     powers: np.ndarray
     degree: int
-    constrained: bool
     l1_error: float
 
-    def coefficient_matrix(self) -> np.ndarray:
+    def __call__(self, lam, alpha):
         c = np.zeros((self.degree + 1, self.degree + 1))
         c[self.powers[:, 0], self.powers[:, 1]] = self.weights
-        return c
-
-    def __call__(self, lam, alpha):
         return npoly.polyval2d(np.asarray(lam, dtype=float),
-                               np.asarray(alpha, dtype=float),
-                               self.coefficient_matrix())
+                               np.asarray(alpha, dtype=float), c)
 
 
 def beta_grid(n_lambda: int, n_alpha: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +117,7 @@ def fit(data: list[BetaSample], target: str, degree: int,
         raise RuntimeError(f"l1 regression LP failed: {res.message}")
     weights = res.x[:k]
     err = float(np.abs(phi @ weights - obs).sum())
-    return MonotoneFit(weights, powers, degree, constrained, err)
+    return MonotoneFit(weights, powers, degree, err)
 
 
 def verify_monotone(fit_: MonotoneFit, n: int = 200, tol: float = 1e-6) -> bool:
@@ -143,15 +139,15 @@ class SelectedBeta:
     fitted_risk: float
 
 
-def select_beta(reward_fit: MonotoneFit, risk_fit: MonotoneFit, epsilons,
-                n_lambda: int = 201, n_alpha: int = 199) -> tuple[SelectedBeta, ...]:
-    """Dense-grid maximizer of fitted reward subject to fitted risk <= epsilon,
-    for each epsilon, from one evaluation of both surfaces.
+def select_beta(reward_fit: MonotoneFit, risk_fit: MonotoneFit,
+                epsilons) -> tuple[SelectedBeta, ...]:
+    """Maximizer of fitted reward subject to fitted risk <= epsilon on a 201 x 199
+    (lam, alpha) grid, for each epsilon, from one evaluation of both surfaces.
 
     Ties break to the lexicographically smallest (lam, alpha); with no feasible
     grid point, the risk-minimizing point is returned flagged infeasible.
     """
-    ll, aa = beta_grid(n_lambda, n_alpha)
+    ll, aa = beta_grid(201, 199)
     reward, risk = reward_fit(ll, aa).ravel(), risk_fit(ll, aa).ravel()
     out = []
     for eps in epsilons:
@@ -187,17 +183,10 @@ class PipelineResult:
 
 def solve_family(lam: float, alpha: float, cfg: MdpConfig, pm: PriceModelParams,
                  grid: PriceGrid, horizons, trans: dict | None = None) -> ThresholdPolicyFamily:
-    """Solve the MDP at every reservation length needed by the tau distribution.
-
-    The horizons share one set of transition matrices and risk kernels.  The
-    matrices are kept by seasonal phase in trans, when given, so that families
-    solved on one (pm, grid) with one trans dict build each matrix once."""
-    kernels = _Kernels(pm, grid, trans)
-    sols = {}
-    for T in horizons:
-        beta = RiskSchedule.homogeneous(lam, alpha, int(T))
-        sols[int(T)] = _solve(replace(cfg, horizon=int(T)), beta, pm, grid, kernels)
-    return ThresholdPolicyFamily(sols)
+    """Solve the MDP at every reservation length needed by the tau distribution,
+    in one backward sweep (see mdp.solve_horizons, which also describes trans)."""
+    beta = RiskSchedule.homogeneous(lam, alpha, max(int(T) for T in horizons))
+    return ThresholdPolicyFamily(solve_horizons(cfg, beta, pm, grid, horizons, trans))
 
 
 def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,

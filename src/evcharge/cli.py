@@ -202,7 +202,7 @@ def cmd_price_check(args) -> int:
     failed = False
     for t in range(cfg.pm.seas_period):
         d = price_model.noise_dist(t, cfg.pm)
-        if abs(d.probs.sum() - 1.0) > 1e-12 or d.probs.min() < price_model.DEFAULT_TRIM:
+        if abs(d.probs.sum() - 1.0) > 1e-12 or d.probs.min() < price_model.TRIM:
             failed = True
     # conditional mean drift must shrink with the price level
     means = np.array([

@@ -218,6 +218,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
         sample_alphas=_list(bs, "beta_search", "sample_alphas"),
         output_dir=str(raw.get("output_dir", "out")),
     )
+    for field in ("sample_lambdas", "sample_alphas"):
+        if not getattr(cfg, field):
+            raise ConfigError(f"beta_search.{field} must not be empty")
     if cfg.risk_kind not in RISK_KINDS:
         raise ConfigError(f"simulation.risk_kind: unknown practical risk kind "
                           f"{cfg.risk_kind!r}; expected one of {RISK_KINDS}")

@@ -9,7 +9,7 @@ converts once to $/kWh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class MdpConfig:
     gamma_y_cap: float = 1.0         # cap for linear-capped, $/kWh
 
     def __post_init__(self):
+        if self.r_max < 1:
+            raise ValueError("r_max must be >= 1")
         if not 0 <= self.r0 <= self.r_max:
             raise ValueError("r0 must be within [0, r_max]")
         if self.x_max < 1:
@@ -85,10 +87,13 @@ class MdpConfig:
                 f"admissible bound {math.exp(log_bound):.6g}"
             )
 
-    def shortage(self, r) -> np.ndarray:
-        """Energy shortage vs. the continuous-charging benchmark, kWh."""
-        bench = min(self.r0 + self.horizon * self.x_max, self.r_max)
-        return bench - np.asarray(r)
+    def benchmark(self, T):
+        """Charge reached by continuous charging over T periods, kWh."""
+        return np.minimum(self.r0 + T * self.x_max, self.r_max)
+
+    def compensation(self, h, rate):
+        """Compensation for a shortage of h kWh at the market rate `rate`, $."""
+        return (1.0 + self.gamma_h * h + rate) * h * self.p_ref
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,6 @@ class MdpSolution:
     """
 
     cfg: MdpConfig
-    beta: RiskSchedule
     grid: PriceGrid
     values: np.ndarray        # (T+1, r_max+1, n_p)
     post_values: np.ndarray   # (T,   r_max+1, n_p)
@@ -122,33 +126,8 @@ def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
     # compensation rate per next-period outcome, one row per current price
     gamma = cfg.gamma_y((grid.points[:, None] * pm.decay + y_support) * MWH_PER_KWH)
     rho_gamma = mean_cvar_rows(gamma, psi.probs, beta_T)  # (n_p,)
-    h = cfg.shortage(np.arange(cfg.r_max + 1)).astype(float)
-    return (1.0 + cfg.gamma_h * h[:, None] + rho_gamma[None, :]) * h[:, None] * cfg.p_ref
-
-
-class _Kernels:
-    """Transition matrices per seasonal phase, with their row cumulative sums,
-    and their mean-CVaR kernels per (phase, risk parameters), built on first
-    use.  One instance serves every horizon of a policy family.  The matrices
-    go into trans, a dict by phase that families on one (pm, grid) may share."""
-
-    def __init__(self, pm: PriceModelParams, grid: PriceGrid, trans: dict | None = None):
-        self.pm, self.grid = pm, grid
-        self._trans = {} if trans is None else trans
-        self._risk: dict[tuple[int, RiskParams], tuple] = {}
-
-    def __call__(self, t: int, rp: RiskParams):
-        """(P_t, K_t, mask of the rows of P_t whose cumulative mass never
-        passes alpha, where the kernel's tail is incomplete)."""
-        phase = t % self.pm.seas_period
-        if (phase, rp) not in self._risk:
-            if phase not in self._trans:
-                trans = transition_matrix(phase, self.pm, self.grid)
-                self._trans[phase] = trans, np.cumsum(trans, axis=1)
-            trans, cum = self._trans[phase]
-            short = (rp.lam > 0.0) & (cum[:, -1] <= rp.alpha)
-            self._risk[phase, rp] = (trans, mean_cvar_kernel(trans, cum, rp), short)
-        return self._risk[phase, rp]
+    h = (cfg.benchmark(T) - np.arange(cfg.r_max + 1)).astype(float)
+    return cfg.compensation(h[:, None], rho_gamma[None, :])
 
 
 def _post_decision(v_next: np.ndarray, trans: np.ndarray, kernel: np.ndarray,
@@ -174,45 +153,66 @@ def _post_decision(v_next: np.ndarray, trans: np.ndarray, kernel: np.ndarray,
 def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
           grid: PriceGrid) -> MdpSolution:
     """Risk-averse backward induction over t = T-1..0."""
-    return _solve(cfg, beta, pm, grid, _Kernels(pm, grid))
+    return solve_horizons(cfg, beta, pm, grid, [cfg.horizon])[cfg.horizon]
 
 
-def _solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
-           grid: PriceGrid, kernels: _Kernels) -> MdpSolution:
-    T = cfg.horizon
-    if beta.horizon != T:
-        raise ValueError(f"risk schedule length {beta.horizon + 1} does not match horizon {T}")
+def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, grid: PriceGrid,
+                   horizons, trans: dict | None = None) -> dict[int, MdpSolution]:
+    """Risk-averse backward induction at every horizon in one sweep over
+    t = max(horizons)-1..0; horizon T steps with beta[0..T-1] and ends with
+    beta[T].  Each t builds P_t, K_t and the short-row mask once and steps the
+    table of every horizon T > t with them.  trans, when given, keeps each
+    phase's P_t with its row cumulative sums for other sweeps on the same
+    (pm, grid)."""
+    horizons = sorted({int(T) for T in horizons})
+    if beta.horizon != horizons[-1]:
+        raise ValueError(f"risk schedule length {beta.horizon + 1} does not match "
+                         f"horizon {horizons[-1]}")
     cfg.check_compensation_lipschitz(pm)
+    trans = {} if trans is None else trans
+    cfgs = {T: replace(cfg, horizon=T) for T in horizons}
 
     n_r = cfg.r_max + 1
     n_p = len(grid)
     level_cost = np.arange(n_r, dtype=float)[:, None] * (grid.points * MWH_PER_KWH)
 
-    values = np.empty((T + 1, n_r, n_p))
-    post_values = np.empty((T, n_r, n_p))
-    thresholds = np.empty((T, n_p), dtype=int)
+    values = {T: np.empty((T + 1, n_r, n_p)) for T in horizons}
+    post_values = {T: np.empty((T, n_r, n_p)) for T in horizons}
+    thresholds = {T: np.empty((T, n_p), dtype=int) for T in horizons}
+    fallback_rows = dict.fromkeys(horizons, 0)
+    for T in horizons:
+        values[T][T] = terminal_values(cfgs[T], beta[T], pm, grid)
 
-    values[T] = terminal_values(cfg, beta[T], pm, grid)
-
-    fallback_rows = 0
     pad = np.full((cfg.x_max, n_p), np.inf)
-    for t in range(T - 1, -1, -1):
-        post, n_fallback = _post_decision(values[t + 1], *kernels(t, beta[t]), beta[t])
-        post_values[t] = post
-        fallback_rows += n_fallback
-        # smallest minimizer of r~ * p + post(r~) defines the threshold
-        target = level_cost + post
-        thresholds[t] = np.argmin(target, axis=0)
-        # V_t(r, p) = min over x of x p - c_f + post(r + x); equivalently a
-        # sliding-window min of `target` over reachable post-decision levels
-        win = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([target, pad]), cfg.x_max + 1, axis=0)
-        values[t] = win.min(axis=2) - level_cost - cfg.c_f
-        if not np.all(np.isfinite(values[t])):
-            bad = np.argwhere(~np.isfinite(values[t]))[0]
-            raise FloatingPointError(f"non-finite value at t={t}, r={bad[0]}, price index {bad[1]}")
+    for t in range(horizons[-1] - 1, -1, -1):
+        phase = t % pm.seas_period
+        if phase not in trans:
+            p_t = transition_matrix(phase, pm, grid)
+            trans[phase] = p_t, np.cumsum(p_t, axis=1)
+        p_t, cum = trans[phase]
+        # rows of P_t whose mass never passes alpha leave the kernel's tail incomplete
+        short = (beta[t].lam > 0.0) & (cum[:, -1] <= beta[t].alpha)
+        kernel = mean_cvar_kernel(p_t, cum, beta[t])
+        # one table at a time: stacked, a step's arrays outgrow the cache (measured slower)
+        for T in [h for h in horizons if h > t]:
+            post, n_fallback = _post_decision(values[T][t + 1], p_t, kernel, short, beta[t])
+            post_values[T][t] = post
+            fallback_rows[T] += n_fallback
+            # smallest minimizer of r~ * p + post(r~) defines the threshold
+            target = level_cost + post
+            thresholds[T][t] = np.argmin(target, axis=0)
+            # V_t(r, p) = min over x of x p - c_f + post(r + x); equivalently a
+            # sliding-window min of `target` over reachable post-decision levels
+            win = np.lib.stride_tricks.sliding_window_view(
+                np.concatenate([target, pad]), cfg.x_max + 1, axis=0)
+            values[T][t] = win.min(axis=2) - level_cost - cfg.c_f
+            if not np.all(np.isfinite(values[T][t])):
+                r, ip = np.argwhere(~np.isfinite(values[T][t]))[0]
+                raise FloatingPointError(f"non-finite value at T={T}, t={t}, r={r}, "
+                                         f"price index {ip}")
 
-    return MdpSolution(cfg, beta, grid, values, post_values, thresholds, fallback_rows)
+    return {T: MdpSolution(cfgs[T], grid, values[T], post_values[T], thresholds[T],
+                           fallback_rows[T]) for T in horizons}
 
 
 @dataclass(frozen=True)

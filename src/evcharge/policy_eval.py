@@ -129,16 +129,12 @@ def draw(tau_dist: TauDist, n_paths: int, seed: int):
             jump_normal_rng.standard_normal(shape))
 
 
-def _benchmark(cfg: MdpConfig, tau: np.ndarray) -> np.ndarray:
-    return np.minimum(cfg.r0 + tau * cfg.x_max, cfg.r_max)
-
-
 def compensation(paths: PathBatch, cfg: MdpConfig, pm: PriceModelParams) -> np.ndarray:
     """Per-path inconvenience compensation paid at tau + 1, $."""
-    h = _benchmark(cfg, paths.tau) - paths.charges[:, -1]
+    h = cfg.benchmark(paths.tau) - paths.charges[:, -1]
     p_end = paths.prices[np.arange(len(paths.tau)), paths.tau + 1]
     y = (p_end - pm.seasonality(paths.tau + 1)) * MWH_PER_KWH
-    return np.where(h > 0, (1.0 + cfg.gamma_h * h + cfg.gamma_y(y)) * h * cfg.p_ref, 0.0)
+    return np.where(h > 0, cfg.compensation(h, cfg.gamma_y(y)), 0.0)
 
 
 def practical_reward(paths: PathBatch, cfg: MdpConfig, pm: PriceModelParams) -> np.ndarray:
@@ -157,7 +153,7 @@ def practical_risk(paths: PathBatch, metric_kind: str, cfg: MdpConfig,
     if metric_kind == "compensation":
         return compensation(paths, cfg, pm)
     if metric_kind == "shortage":
-        return (_benchmark(cfg, paths.tau) - final).astype(float)
+        return (cfg.benchmark(paths.tau) - final).astype(float)
     raise ValueError(f"unknown practical risk kind {metric_kind!r}")
 
 

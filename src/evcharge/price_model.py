@@ -14,10 +14,10 @@ import numpy as np
 from scipy.special import ndtr
 
 # outcomes below this probability are dropped and the rest renormalized
-DEFAULT_TRIM = 1.5e-3
+TRIM = 1.5e-3
 
 # target one-step escape probability used when auto-sizing the price grid
-DEFAULT_ESCAPE_TOL = 1e-4
+ESCAPE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,11 @@ def _interval_mass(mean: float, std: float, edges: np.ndarray) -> np.ndarray:
     return mass
 
 
-def noise_dist(t: int, params: PriceModelParams, trim: float = DEFAULT_TRIM) -> DiscreteDist:
+def noise_dist(t: int, params: PriceModelParams) -> DiscreteDist:
     """Integer-support discretization of the one-step noise mixture at period t.
 
     Each integer k receives the mixture mass of (k - 1/2, k + 1/2]; outcomes
-    with probability below `trim` are dropped and the remainder renormalized.
+    with probability below TRIM are dropped and the remainder renormalized.
     """
     drift = params.noise_drift(t)
     var0 = params.diffusion_var
@@ -162,7 +162,7 @@ def noise_dist(t: int, params: PriceModelParams, trim: float = DEFAULT_TRIM) -> 
     probs[0] += max(0.0, 1.0 - probs.sum()) / 2.0
     probs[-1] += max(0.0, 1.0 - probs.sum())
 
-    keep = probs >= trim
+    keep = probs >= TRIM
     if not keep.any():
         keep[np.argmax(probs)] = True
     support, probs = support[keep], probs[keep]
@@ -170,24 +170,22 @@ def noise_dist(t: int, params: PriceModelParams, trim: float = DEFAULT_TRIM) -> 
     return DiscreteDist(support, probs)
 
 
-def build_grid(params: PriceModelParams, span: int | None = None,
-               trim: float = DEFAULT_TRIM,
-               escape_tol: float = DEFAULT_ESCAPE_TOL) -> PriceGrid:
+def build_grid(params: PriceModelParams, span: int | None = None) -> PriceGrid:
     """Integer price grid [c - span, c + span] centered on the seasonal level.
 
     When span is not given, the smallest span is chosen such that the total
     one-step probability of leaving the grid from any interior state, at any
-    phase of the seasonal cycle, is below escape_tol.
+    phase of the seasonal cycle, is below ESCAPE_TOL.
     """
     center = round(params.seas_c)
-    dists = [noise_dist(t, params, trim) for t in range(params.seas_period)]
+    dists = [noise_dist(t, params) for t in range(params.seas_period)]
     if span is None:
-        span = _auto_span(params, dists, center, escape_tol)
+        span = _auto_span(params, dists, center)
     points = np.arange(center - span, center + span + 1, dtype=float)
     return PriceGrid(points)
 
 
-def _auto_span(params, dists, center, escape_tol) -> int:
+def _auto_span(params, dists, center) -> int:
     decay = params.decay
     for span in range(10, 5001):
         lo, hi = center - span, center + span
@@ -199,19 +197,18 @@ def _auto_span(params, dists, center, escape_tol) -> int:
                 targets = p * decay + d.support
                 out = (targets > hi + 0.5) | (targets < lo - 0.5)
                 worst = max(worst, float(d.probs[out].sum()))
-        if worst < escape_tol:
+        if worst < ESCAPE_TOL:
             return span
     raise ValueError("could not find a grid span meeting the escape tolerance")
 
 
-def next_price_dist(p: float, t: int, params: PriceModelParams, grid: PriceGrid,
-                    trim: float = DEFAULT_TRIM) -> DiscreteDist:
+def next_price_dist(p: float, t: int, params: PriceModelParams, grid: PriceGrid) -> DiscreteDist:
     """Distribution of the next grid price given current price p at period t.
 
     Each outcome p e^{-k} + psi is snapped to the nearest grid point; mass
     landing outside the grid accumulates at the boundary points.
     """
-    psi = noise_dist(t, params, trim)
+    psi = noise_dist(t, params)
     targets = p * params.decay + psi.support
     idx = grid.nearest_index(targets)
     probs = np.bincount(idx, weights=psi.probs, minlength=len(grid))
@@ -219,10 +216,9 @@ def next_price_dist(p: float, t: int, params: PriceModelParams, grid: PriceGrid,
     return DiscreteDist(grid.points[keep], probs[keep] / probs.sum())
 
 
-def transition_matrix(t: int, params: PriceModelParams, grid: PriceGrid,
-                      trim: float = DEFAULT_TRIM) -> np.ndarray:
+def transition_matrix(t: int, params: PriceModelParams, grid: PriceGrid) -> np.ndarray:
     """Row-stochastic matrix of grid-to-grid price transitions at period t."""
-    psi = noise_dist(t, params, trim)
+    psi = noise_dist(t, params)
     n = len(grid)
     idx = grid.nearest_index(grid.points[:, None] * params.decay + psi.support)
     cells = (np.arange(n)[:, None] * n + idx).ravel()

@@ -1,11 +1,10 @@
-"""Exact VaR, CVaR, and mean-CVaR functionals on finite discrete distributions.
+"""Exact mean-CVaR on finite discrete distributions, and risk schedules.
 
 One row-wise kernel, :func:`mean_cvar_rows`, computes every CVaR: it sorts
 each row and splits the atom at the quantile proportionally, which equals the
-Rockafellar-Uryasev infimum exactly and needs no solver.  The single-
-distribution functions are one-row calls of it.  :func:`mean_cvar_kernel` is
-its linear form for rows already in sorted order, which the solver applies as
-one matrix product.
+Rockafellar-Uryasev infimum exactly and needs no solver.
+:func:`mean_cvar_kernel` is its linear form for rows already in sorted order,
+which the solver applies as one matrix product.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .price_model import DiscreteDist
 
 
 @dataclass(frozen=True)
@@ -89,20 +86,3 @@ def mean_cvar_kernel(trans: np.ndarray, cum: np.ndarray, rp: RiskParams) -> np.n
         return trans
     tail = np.clip(cum - rp.alpha, 0.0, trans) / (1.0 - rp.alpha)
     return (1.0 - rp.lam) * trans + rp.lam * tail
-
-
-def var_discrete(dist: DiscreteDist, alpha: float) -> float:
-    """VaR of a finite cost distribution: the smallest outcome u with
-    P(X <= u) > alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    j = int(np.searchsorted(np.cumsum(dist.probs), alpha, side="right"))
-    return float(dist.support[min(j, len(dist.support) - 1)])
-
-
-def cvar_discrete(dist: DiscreteDist, alpha: float) -> float:
-    return mean_cvar(dist, RiskParams(1.0, alpha))
-
-
-def mean_cvar(dist: DiscreteDist, rp: RiskParams) -> float:
-    return float(mean_cvar_rows(dist.support[None, :], dist.probs, rp)[0])

@@ -1,9 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a single
-pass/fail line.  Criterion 7 reproduces the full-scale case study and is
-excluded from the default run (set EVCHARGE_FULL_SCALE=1 to include it)."""
+pass/fail line.  Criterion 7 reproduces the full-scale case study; it carries
+the full_scale marker, so `-m "not full_scale"` deselects it."""
 
 import copy
-import os
 import time
 
 import numpy as np
@@ -22,8 +21,7 @@ from evcharge.policy_eval import (
     estimate,
     practical_risk,
 )
-from evcharge.price_model import DiscreteDist
-from evcharge.risk import RiskParams, RiskSchedule, cvar_discrete
+from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_rows
 
 from conftest import DESK_PM, MICRO_PM, desk_cfg, micro_cfg, random_dist
 from oracles import cvar_grid_search, enumerate_policies_value, greedy_from_tables, risk_neutral_dp
@@ -34,6 +32,10 @@ def report(num, name, passed, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {num} [{name}]: {status}{suffix}")
     assert passed, f"criterion {num} [{name}] failed{suffix}"
+
+
+def cvar(support, probs, alpha):
+    return float(mean_cvar_rows(support[None, :], probs, RiskParams(1.0, alpha))[0])
 
 
 def random_schedule(rng, horizon):
@@ -99,15 +101,15 @@ def test_criterion_4_cvar_correctness():
     for _ in range(1000):
         support, probs = random_dist(rng)
         alpha = float(rng.uniform(0.05, 0.95))
-        cvar = cvar_discrete(DiscreteDist(support, probs), alpha)
-        worst_grid = max(worst_grid, abs(cvar - cvar_grid_search(support, probs, alpha)))
+        exact = cvar(support, probs, alpha)
+        worst_grid = max(worst_grid, abs(exact - cvar_grid_search(support, probs, alpha)))
         mean = float(support @ probs)
-        worst_coherence = max(worst_coherence, mean - cvar)  # cvar >= mean
+        worst_coherence = max(worst_coherence, mean - exact)  # cvar >= mean
         for c, a in ((3.0, 2.0), (-7.0, 0.5)):
-            shifted = cvar_discrete(DiscreteDist(a * support + c, probs), alpha)
-            worst_coherence = max(worst_coherence, abs(shifted - (a * cvar + c)))
-        bumped = cvar_discrete(DiscreteDist(support + 1.0, probs), alpha)
-        worst_coherence = max(worst_coherence, cvar + 1.0 - bumped)
+            shifted = cvar(a * support + c, probs, alpha)
+            worst_coherence = max(worst_coherence, abs(shifted - (a * exact + c)))
+        bumped = cvar(support + 1.0, probs, alpha)
+        worst_coherence = max(worst_coherence, exact + 1.0 - bumped)
     report(4, "cvar correctness",
            worst_grid <= 1e-9 and worst_coherence <= 1e-12,
            f"grid dev {worst_grid:.2e}, coherence dev {worst_coherence:.2e}")
@@ -165,8 +167,6 @@ def test_criterion_6_fast_regime_compatibility(desk_pm, desk_grid):
 
 
 @pytest.mark.full_scale
-@pytest.mark.skipif(os.environ.get("EVCHARGE_FULL_SCALE") != "1",
-                    reason="long-running full-scale reproduction; set EVCHARGE_FULL_SCALE=1")
 def test_criterion_7_full_scale_anchors():
     cfg = preset("full_scale")
     grid = cfg.build_grid()

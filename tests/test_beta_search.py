@@ -88,19 +88,19 @@ class TestFit:
 class TestVerifyMonotone:
     def test_detects_increase(self):
         powers = np.array([(0, 0), (1, 0), (0, 1)])
-        rising = MonotoneFit(np.array([0.0, 1.0, 0.0]), powers, 1, True, 0.0)
+        rising = MonotoneFit(np.array([0.0, 1.0, 0.0]), powers, 1, 0.0)
         assert not verify_monotone(rising)
-        falling = MonotoneFit(np.array([1.0, -1.0, -0.5]), powers, 1, True, 0.0)
+        falling = MonotoneFit(np.array([1.0, -1.0, -0.5]), powers, 1, 0.0)
         assert verify_monotone(falling)
 
 
 def const_fit(value):
-    return MonotoneFit(np.array([value]), np.array([(0, 0)]), 0, False, 0.0)
+    return MonotoneFit(np.array([value]), np.array([(0, 0)]), 0, 0.0)
 
 
 def linear_fit(c0, c_lam, c_alpha):
     return MonotoneFit(np.array([c0, c_lam, c_alpha]),
-                       np.array([(0, 0), (1, 0), (0, 1)]), 1, False, 0.0)
+                       np.array([(0, 0), (1, 0), (0, 1)]), 1, 0.0)
 
 
 class TestSelectBeta:

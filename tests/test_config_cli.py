@@ -92,11 +92,20 @@ BAD_FIELDS = [
     ("mdp", "r0", 1.5, "mdp.r0"),
     ("beta_search", "constraint_grid_n", 2.5, "beta_search.constraint_grid_n"),
     (None, "grid_span", 20.5, "grid_span"),
+    # an empty sample list left the pipeline nothing to fit
+    ("beta_search", "sample_lambdas", [], "beta_search.sample_lambdas"),
+    ("beta_search", "sample_alphas", [], "beta_search.sample_alphas"),
+    # r_max = 0 divides by zero in the indicator risk
+    ("mdp", "r_max", 0, "mdp: r_max"),
 ]
+# one id per field; a field's later cases add their value
+BAD_FIELD_IDS = []
+for _section, _key, _value, _ in BAD_FIELDS:
+    _name = _key if _section is None else f"{_section}.{_key}"
+    BAD_FIELD_IDS.append(f"{_name}={_value!r}" if _name in BAD_FIELD_IDS else _name)
 
 
-@pytest.mark.parametrize("section,key,value,named", BAD_FIELDS,
-                         ids=[k if s is None else f"{s}.{k}" for s, k, _, _ in BAD_FIELDS])
+@pytest.mark.parametrize("section,key,value,named", BAD_FIELDS, ids=BAD_FIELD_IDS)
 def test_bad_field_fails_at_load(tmp_path, capsys, section, key, value, named):
     raw = small_raw()
     (raw if section is None else raw[section])[key] = value

@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 
 from evcharge.mdp import (
     MdpConfig,
-    _Kernels,
     _post_decision,
     bellman_residual,
     linear_capped,
     softplus,
     solve,
+    solve_horizons,
     terminal_values,
     verify_structure,
 )
 from evcharge.policy_eval import ThresholdPolicyFamily
 from evcharge.price_model import PriceGrid, transition_matrix
-from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_rows
+from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_kernel, mean_cvar_rows
 
 from conftest import DESK_PM, MICRO_PM, desk_cfg, micro_cfg
 from oracles import (
@@ -38,6 +38,14 @@ def sort_path_post(v_next, trans, rp):
     return post
 
 
+def kernel_step(grid, t, rp):
+    """(P_t, K_t, mask of the rows of P_t whose mass never passes alpha) on the
+    desk price model, as the solver builds them."""
+    trans = transition_matrix(t, DESK_PM, grid)
+    cum = np.cumsum(trans, axis=1)
+    return trans, mean_cvar_kernel(trans, cum, rp), (rp.lam > 0.0) & (cum[:, -1] <= rp.alpha)
+
+
 def random_schedule(rng, horizon):
     per = tuple(RiskParams(float(rng.uniform(0, 1)), float(rng.uniform(0.05, 0.95)))
                 for _ in range(horizon + 1))
@@ -48,12 +56,13 @@ class TestConfig:
     def test_shortage_full_horizon(self):
         cfg = MdpConfig(r_max=60, x_max=60, c_f=0.5, p_ref=0.05, gamma_h=0.01,
                         horizon=16, r0=0)
-        assert cfg.shortage(40) == 20  # benchmark saturates at r_max
+        assert cfg.benchmark(cfg.horizon) - 40 == 20  # benchmark saturates at r_max
 
     def test_shortage_short_horizon(self):
         cfg = MdpConfig(r_max=60, x_max=10, c_f=0.5, p_ref=0.05, gamma_h=0.01,
                         horizon=2, r0=0)
-        assert cfg.shortage(5) == 15  # benchmark is 2 * 10 = 20
+        assert cfg.benchmark(cfg.horizon) - 5 == 15  # benchmark is 2 * 10 = 20
+        np.testing.assert_array_equal(cfg.benchmark(np.array([1, 2, 6, 7])), [10, 20, 60, 60])
 
     def test_fast_regime_flag(self):
         assert desk_cfg(x_max=12).fast_regime
@@ -70,6 +79,8 @@ class TestConfig:
                       horizon=2, gamma_y_kind="quadratic")
         with pytest.raises(ValueError, match="p_ref"):
             MdpConfig(r_max=5, x_max=5, c_f=0.1, p_ref=-0.05, gamma_h=0.0, horizon=2)
+        with pytest.raises(ValueError, match="r_max"):
+            MdpConfig(r_max=0, x_max=5, c_f=0.1, p_ref=0.05, gamma_h=0.0, horizon=2)
 
     def test_gamma_y_kinds(self):
         assert desk_cfg().gamma_y is softplus
@@ -201,6 +212,32 @@ class TestSolve:
         assert np.all(harsh.values >= mild.values - 1e-9)
 
 
+class TestSolveHorizons:
+    @pytest.mark.parametrize("x_max", [12, 3], ids=["fast", "slow"])
+    def test_sweep_matches_separate_solves(self, desk_pm, desk_grid, x_max):
+        # horizon T steps with beta[0..T-1] and ends with beta[T]; stepping the
+        # horizons together must not change a bit of any of them
+        cfg = desk_cfg(x_max=x_max, horizon=4)
+        beta = random_schedule(np.random.default_rng(31), 4)
+        sols = solve_horizons(cfg, beta, desk_pm, desk_grid, {2, 3, 4})
+        assert sorted(sols) == [2, 3, 4]
+        for T, sol in sols.items():
+            alone = solve(replace(cfg, horizon=T), RiskSchedule(beta.per_period[:T + 1]),
+                          desk_pm, desk_grid)
+            assert sol.cfg == alone.cfg
+            np.testing.assert_array_equal(sol.values, alone.values)
+            np.testing.assert_array_equal(sol.post_values, alone.post_values)
+            np.testing.assert_array_equal(sol.thresholds, alone.thresholds)
+            assert sol.fallback_rows == alone.fallback_rows
+        # the slow regime's falling terminal rows exercise the sort-based fallback
+        assert (sum(sol.fallback_rows for sol in sols.values()) > 0) == (x_max == 3)
+
+    def test_schedule_must_cover_the_longest_horizon(self, desk_pm, desk_grid):
+        beta = RiskSchedule.homogeneous(0.5, 0.9, 4)
+        with pytest.raises(ValueError, match="risk schedule length"):
+            solve_horizons(desk_cfg(), beta, desk_pm, desk_grid, [2, 3])
+
+
 class TestStructure:
     @pytest.mark.parametrize("lam,alpha", [(0.0, 0.5), (1.0, 0.95), (0.5, 0.8)])
     def test_structure_passes(self, desk_pm, desk_grid, lam, alpha):
@@ -235,7 +272,7 @@ class TestKernelStep:
     def test_kernel_step_matches_sort_path(self, desk_grid, shape, lam, alpha, t, seed):
         rng = np.random.default_rng(seed)
         rp = RiskParams(lam, alpha)
-        trans, kernel, short = _Kernels(DESK_PM, desk_grid)(t, rp)
+        trans, kernel, short = kernel_step(desk_grid, t, rp)
         n_p = len(desk_grid)
         # nondecreasing rows with flat stretches, where noise makes tiny falls
         v_next = np.cumsum(rng.exponential(0.05, (6, n_p)) * (rng.random((6, n_p)) < 0.5), axis=1)
@@ -255,7 +292,7 @@ class TestKernelStep:
 
     def test_short_rows_take_the_sort_path(self, desk_grid):
         rp = RiskParams(0.6, 0.8)
-        trans, kernel, _ = _Kernels(DESK_PM, desk_grid)(0, rp)
+        trans, kernel, _ = kernel_step(desk_grid, 0, rp)
         v_next = np.cumsum(np.random.default_rng(1).exponential(0.05, (6, len(desk_grid))), axis=1)
         short = np.zeros(len(desk_grid), dtype=bool)
         short[[3, 17]] = True

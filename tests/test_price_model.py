@@ -60,12 +60,6 @@ def test_noise_dist_mixture_mean(full_pm, t):
     assert d.mean() == pytest.approx(analytic, abs=0.5)
 
 
-def test_noise_dist_trim_is_configurable(full_pm):
-    loose = noise_dist(0, full_pm, trim=1e-6)
-    tight = noise_dist(0, full_pm, trim=1.5e-3)
-    assert len(loose.support) > len(tight.support)
-
-
 def test_discrete_dist_validation():
     with pytest.raises(ValueError):
         DiscreteDist(np.array([1.0, 1.0]), np.array([0.5, 0.5]))

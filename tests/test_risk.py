@@ -3,65 +3,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evcharge.price_model import DiscreteDist
-from evcharge.risk import (
-    RiskParams,
-    RiskSchedule,
-    cvar_discrete,
-    mean_cvar,
-    mean_cvar_rows,
-    var_discrete,
-)
+from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_rows
 
 from conftest import random_dist
 from oracles import cvar_grid_search, mean_cvar_grid_search
 
 
 def one_row(values, probs, rp):
-    """Mean-CVaR of one outcome vector through the batched kernel; unlike a
-    DiscreteDist, the outcomes may be unsorted or repeated."""
+    """Mean-CVaR of one outcome vector through the batched kernel; the outcomes
+    may be unsorted or repeated."""
     return float(mean_cvar_rows(values[None, :], probs, rp)[0])
 
 
+def cvar(support, probs, alpha):
+    return one_row(support, probs, RiskParams(1.0, alpha))
+
+
 def two_point():
-    return DiscreteDist(np.array([1.0, 3.0]), np.array([0.5, 0.5]))
-
-
-class TestVar:
-    def test_point_mass(self):
-        d = DiscreteDist(np.array([7.0]), np.array([1.0]))
-        assert var_discrete(d, 0.9) == 7.0
-
-    def test_cdf_boundary(self):
-        # P(X <= 1) = 0.5 is not > 0.5, so the quantile moves up
-        assert var_discrete(two_point(), 0.5) == 3.0
-        assert var_discrete(two_point(), 0.4) == 1.0
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            var_discrete(two_point(), 1.0)
+    return np.array([1.0, 3.0]), np.array([0.5, 0.5])
 
 
 class TestCvar:
     def test_point_mass_translation(self):
         for c in (-3.0, 0.0, 11.5):
-            d = DiscreteDist(np.array([c]), np.array([1.0]))
-            assert cvar_discrete(d, 0.7) == pytest.approx(c, abs=1e-14)
+            assert cvar(np.array([c]), np.array([1.0]), 0.7) == pytest.approx(c, abs=1e-14)
 
     def test_two_point_at_half(self):
-        assert cvar_discrete(two_point(), 0.5) == pytest.approx(3.0, abs=1e-12)
+        assert cvar(*two_point(), 0.5) == pytest.approx(3.0, abs=1e-12)
 
     def test_atom_split(self):
-        d = DiscreteDist(np.array([0.0, 10.0]), np.array([0.9, 0.1]))
         # tail mass 0.2: all of the 10-atom plus 0.1 of the 0-atom
-        assert cvar_discrete(d, 0.8) == pytest.approx(5.0, abs=1e-12)
+        assert cvar(np.array([0.0, 10.0]), np.array([0.9, 0.1]), 0.8) == pytest.approx(
+            5.0, abs=1e-12)
 
     def test_matches_grid_search_on_random_instances(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
             support, probs = random_dist(rng)
             alpha = float(rng.uniform(0.05, 0.95))
-            exact = cvar_discrete(DiscreteDist(support, probs), alpha)
+            exact = cvar(support, probs, alpha)
             searched = cvar_grid_search(support, probs, alpha)
             assert exact == pytest.approx(searched, abs=1e-9)
 
@@ -70,22 +50,22 @@ class TestCvar:
         for _ in range(1000):
             support, probs = random_dist(rng)
             alpha = float(rng.uniform(0.05, 0.95))
-            cvar = cvar_discrete(DiscreteDist(support, probs), alpha)
+            c = cvar(support, probs, alpha)
             var = support[np.searchsorted(np.cumsum(probs), alpha, side="right")]
-            assert cvar >= float(support @ probs) - 1e-12
-            assert cvar >= var - 1e-12
+            assert c >= float(support @ probs) - 1e-12
+            assert c >= var - 1e-12
 
 
 class TestMeanCvar:
     def test_lambda_zero_is_mean(self):
-        d = two_point()
-        assert mean_cvar(d, RiskParams(0.0, 0.5)) == d.mean()
+        support, probs = two_point()
+        assert one_row(support, probs, RiskParams(0.0, 0.5)) == support @ probs
 
     def test_lambda_one_is_cvar(self):
-        assert mean_cvar(two_point(), RiskParams(1.0, 0.5)) == pytest.approx(3.0)
+        assert one_row(*two_point(), RiskParams(1.0, 0.5)) == pytest.approx(3.0)
 
     def test_convex_combination(self):
-        assert mean_cvar(two_point(), RiskParams(0.5, 0.5)) == pytest.approx(2.5)
+        assert one_row(*two_point(), RiskParams(0.5, 0.5)) == pytest.approx(2.5)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(3)
