@@ -84,10 +84,11 @@ def cmd_verify(args) -> int:
     rows = []
     failed = False
     sols = {}
+    trans = {}  # each phase's P_t, built once for every (lam, alpha)
     for lam in lambdas:
         for alpha in alphas:
             beta = RiskSchedule.homogeneous(lam, alpha, horizon)
-            sol = mdp.solve(mcfg, beta, cfg.pm, grid)
+            sol = mdp.solve_horizons(mcfg, beta, cfg.pm, grid, [horizon], trans)[horizon]
             sols[(lam, alpha)] = sol
             report = mdp.verify_structure(sol, tolerance=args.tolerance)
             for c in report.checks:

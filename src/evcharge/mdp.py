@@ -201,11 +201,16 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
             # smallest minimizer of r~ * p + post(r~) defines the threshold
             target = level_cost + post
             thresholds[T][t] = np.argmin(target, axis=0)
-            # V_t(r, p) = min over x of x p - c_f + post(r + x); equivalently a
-            # sliding-window min of `target` over reachable post-decision levels
-            win = np.lib.stride_tricks.sliding_window_view(
-                np.concatenate([target, pad]), cfg.x_max + 1, axis=0)
-            values[T][t] = win.min(axis=2) - level_cost - cfg.c_f
+            # V_t(r, p) = min over x of x p - c_f + post(r + x), the exact min of
+            # `target` over the reachable levels r..min(r + x_max, r_max), so neither
+            # form needs a guard: with x_max >= r_max every level above r is
+            # reachable (a suffix min down r), else a sliding window padded past r_max
+            if cfg.fast_regime:
+                reach = np.minimum.accumulate(target[::-1], axis=0)[::-1]
+            else:
+                reach = np.lib.stride_tricks.sliding_window_view(
+                    np.concatenate([target, pad]), cfg.x_max + 1, axis=0).min(axis=2)
+            values[T][t] = reach - level_cost - cfg.c_f
             if not np.all(np.isfinite(values[T][t])):
                 r, ip = np.argwhere(~np.isfinite(values[T][t]))[0]
                 raise FloatingPointError(f"non-finite value at T={T}, t={t}, r={r}, "
@@ -240,14 +245,21 @@ class StructureReport:
         return "\n".join(lines)
 
 
-def _worst(diffs: np.ndarray) -> tuple[float, tuple | None]:
-    if diffs.size == 0:
+def _worst(diffs) -> tuple[float, tuple | None]:
+    """Largest violation (most negative entry, negated) over per-period difference
+    arrays and its first location (t, ...) in C order, as argmin over the stack
+    gives; one period at a time, since the stack outgrows the cache."""
+    worst, at = 0.0, None
+    for t, d in enumerate(diffs):
+        m = float(d.min(initial=np.inf))
+        if m < worst or m != m:
+            worst, at = m, (t, d)
+            if m != m:  # NaN: argmin stops at the first
+                break
+    if at is None:
         return 0.0, None
-    worst = float(diffs.min())
-    if worst >= 0:
-        return max(0.0, -worst), None
-    loc = np.unravel_index(int(np.argmin(diffs)), diffs.shape)
-    return -worst, tuple(int(i) for i in loc)
+    t, d = at
+    return -worst, (t, *(int(i) for i in np.unravel_index(int(np.argmin(d)), d.shape)))
 
 
 def verify_structure(sol: MdpSolution, tolerance: float = 1e-9) -> StructureReport:
@@ -255,28 +267,25 @@ def verify_structure(sol: MdpSolution, tolerance: float = 1e-9) -> StructureRepo
     checks = []
 
     # (a) discrete convexity of V_t(., p) in r: second differences >= -tol
-    second = np.diff(sol.values, n=2, axis=1)
-    worst, loc = _worst(second)
+    worst, loc = _worst(np.diff(v, n=2, axis=0) for v in sol.values)
     checks.append(CheckResult("value_convex_in_resource", worst <= tolerance, worst, loc))
 
     # (b) V_t(r, .) nondecreasing in p for r < r_max
-    inc = np.diff(sol.values[:, :-1, :], axis=2)
-    worst, loc = _worst(inc)
+    worst, loc = _worst(np.diff(v[:-1], axis=1) for v in sol.values)
     checks.append(CheckResult("value_increasing_in_price", worst <= tolerance, worst, loc))
 
     # (c) thresholds nonincreasing in p, exactly (integer thresholds)
-    dec = -np.diff(sol.thresholds, axis=1)
-    worst, loc = _worst(dec.astype(float))
+    worst, loc = _worst(-np.diff(sol.thresholds, axis=1).astype(float))
     checks.append(CheckResult("threshold_nonincreasing_in_price", worst <= 0, worst, loc))
 
     return StructureReport(tuple(checks))
 
 
-def bellman_residual(sol: MdpSolution, pm: PriceModelParams) -> float:
+def bellman_residual(sol: MdpSolution) -> float:
     """Max |V - RHS of the recursion| over all stored states; consistency gauge.
 
     Takes the min over every feasible charge x explicitly, independently of
-    the solver's sliding window."""
+    how the solver takes it."""
     cfg = sol.cfg
     p_kwh = sol.grid.points * MWH_PER_KWH
     x = np.arange(cfg.x_max + 1)

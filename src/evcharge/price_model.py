@@ -178,15 +178,15 @@ def build_grid(params: PriceModelParams, span: int | None = None) -> PriceGrid:
     phase of the seasonal cycle, is below ESCAPE_TOL.
     """
     center = round(params.seas_c)
-    dists = [noise_dist(t, params) for t in range(params.seas_period)]
     if span is None:
-        span = _auto_span(params, dists, center)
+        span = _auto_span(params, center)
     points = np.arange(center - span, center + span + 1, dtype=float)
     return PriceGrid(points)
 
 
-def _auto_span(params, dists, center) -> int:
+def _auto_span(params, center) -> int:
     decay = params.decay
+    dists = [noise_dist(t, params) for t in range(params.seas_period)]
     for span in range(10, 5001):
         lo, hi = center - span, center + span
         worst = 0.0

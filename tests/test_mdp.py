@@ -191,19 +191,19 @@ class TestSolve:
     def test_bellman_residual_tiny(self, desk_pm, desk_grid):
         cfg = desk_cfg(horizon=3)
         sol = solve(cfg, RiskSchedule.homogeneous(0.7, 0.85, 3), desk_pm, desk_grid)
-        assert bellman_residual(sol, desk_pm) < 1e-10
+        assert bellman_residual(sol) < 1e-10
 
     def test_bellman_residual_matches_loop(self, desk_pm, desk_grid):
         cfg = desk_cfg(x_max=4, horizon=3)
         sol = solve(cfg, RiskSchedule.homogeneous(0.4, 0.7, 3), desk_pm, desk_grid)
         sol.values[:-1] += np.random.default_rng(3).normal(0.0, 1e-3, sol.values[:-1].shape)
-        assert bellman_residual(sol, desk_pm) == bellman_residual_loop(sol)
+        assert bellman_residual(sol) == bellman_residual_loop(sol)
 
     def test_bellman_residual_sees_one_bumped_entry(self, desk_pm, desk_grid):
         cfg = desk_cfg(x_max=4, horizon=3)
         sol = solve(cfg, RiskSchedule.homogeneous(0.7, 0.85, 3), desk_pm, desk_grid)
         sol.values[1, 5, 10] += 1e-6
-        assert bellman_residual(sol, desk_pm) == pytest.approx(1e-6, abs=1e-12)
+        assert bellman_residual(sol) == pytest.approx(1e-6, abs=1e-12)
 
     def test_values_nondecreasing_in_risk_aversion(self, desk_pm, desk_grid):
         cfg = desk_cfg(horizon=3)
@@ -213,7 +213,7 @@ class TestSolve:
 
 
 class TestSolveHorizons:
-    @pytest.mark.parametrize("x_max", [12, 3], ids=["fast", "slow"])
+    @pytest.mark.parametrize("x_max", [12, 3, 20], ids=["fast", "slow", "wide"])
     def test_sweep_matches_separate_solves(self, desk_pm, desk_grid, x_max):
         # horizon T steps with beta[0..T-1] and ends with beta[T]; stepping the
         # horizons together must not change a bit of any of them
@@ -231,6 +231,14 @@ class TestSolveHorizons:
             assert sol.fallback_rows == alone.fallback_rows
         # the slow regime's falling terminal rows exercise the sort-based fallback
         assert (sum(sol.fallback_rows for sol in sols.values()) > 0) == (x_max == 3)
+
+    @pytest.mark.parametrize("x_max", [3, 12, 20])
+    def test_bellman_min_exact_on_both_sides_of_the_regime(self, desk_pm, desk_grid, x_max):
+        # x_max >= r_max takes the suffix min, x_max < r_max the sliding window
+        cfg = desk_cfg(x_max=x_max, horizon=4)
+        sol = solve(cfg, random_schedule(np.random.default_rng(7), 4), desk_pm, desk_grid)
+        assert cfg.fast_regime == (x_max >= cfg.r_max)
+        assert bellman_residual_loop(sol) <= 1e-12
 
     def test_schedule_must_cover_the_longest_horizon(self, desk_pm, desk_grid):
         beta = RiskSchedule.homogeneous(0.5, 0.9, 4)
@@ -258,6 +266,32 @@ class TestStructure:
         assert convex.location is not None
         t, r, ip = convex.location
         assert t == 1 and ip == 10 and abs(r - 6) <= 1
+
+    def test_tied_violations_report_the_first_in_c_order(self, desk_pm, desk_grid):
+        cfg = desk_cfg(horizon=3)
+        sol = solve(cfg, RiskSchedule.homogeneous(0.5, 0.9, 3), desk_pm, desk_grid)
+        # two periods with exactly linear tables, each bumped by the same amount, so
+        # the worst convexity violation (8.0) appears in both; the later period's
+        # bump sits at a smaller r, so C order, not the in-period index, decides
+        r, ip = np.arange(cfg.r_max + 1), np.arange(len(desk_grid))
+        sol.values[1:3] = 2.0 * r[:, None] + ip[None, :]
+        sol.values[1, 8, 10] += 4.0
+        sol.values[2, 4, 10] += 4.0
+        convex = verify_structure(sol).checks[0]
+        stack = np.diff(sol.values, n=2, axis=1)
+        assert convex.worst_violation == 8.0
+        assert convex.location == tuple(np.unravel_index(np.argmin(stack), stack.shape))
+        assert convex.location == (1, 7, 10)  # second differences are centered at r - 1
+
+    def test_negative_control_price_monotonicity_location(self, desk_pm, desk_grid):
+        cfg = desk_cfg(horizon=3)
+        sol = solve(cfg, RiskSchedule.homogeneous(0.5, 0.9, 3), desk_pm, desk_grid)
+        sol.values[2, 5, 20] -= 5.0  # V(r=5, .) now falls from price index 19 to 20
+        inc = next(c for c in verify_structure(sol).checks
+                   if c.name == "value_increasing_in_price")
+        assert not inc.passed
+        assert inc.location == (2, 5, 19)
+        assert inc.worst_violation > 4.9
 
 
 class TestKernelStep:
