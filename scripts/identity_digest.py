@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Fingerprints of the solver's tables and of every desk CLI output, for
+checking that a change leaves every result bit-identical.
+
+Each output line is ``<kind> <name> <sha256>``.  A ``family`` line hashes the
+``values``, ``post_values``, ``thresholds`` and ``fallback_rows`` of every
+horizon of one ``solve_family``: both presets at five betas, one family with
+x_max < r_max per preset, and one linear-capped family per preset.  A ``csv``
+line hashes one file written by ``solve``, ``verify``, ``simulate
+--dump-paths 20``, ``pipeline`` or ``price-check`` on the desk preset.
+
+The package is imported from PYTHONPATH, so one copy of this script digests
+any checkout; diff the two outputs:
+
+    PYTHONPATH=src python3 scripts/identity_digest.py > after.txt
+    PYTHONPATH=../parent/src python3 scripts/identity_digest.py > before.txt
+    diff before.txt after.txt
+"""
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from evcharge.beta_search import solve_family
+from evcharge.cli import main as cli_main
+from evcharge.config import preset
+
+BETAS = [(0.0, 0.5), (0.3, 0.7), (0.7, 0.9), (1.0, 0.98), (0.5, 0.05)]
+CLI_STEPS = [["solve"], ["verify"], ["simulate", "--dump-paths", "20"], ["pipeline"],
+             ["price-check"]]
+
+
+def family_digest(family) -> str:
+    h = hashlib.sha256()
+    for T in sorted(family.solutions):
+        sol = family.solutions[T]
+        for table in (sol.values, sol.post_values, sol.thresholds):
+            h.update(np.ascontiguousarray(table).tobytes())
+        h.update(str(sol.fallback_rows).encode())
+    return h.hexdigest()
+
+
+def families(cfg):
+    """(label, mdp config, lam, alpha) of every family digested on one preset."""
+    for lam, alpha in BETAS:
+        yield f"lam={lam}:alpha={alpha}", cfg.mdp, lam, alpha
+    yield "x_max=3:lam=0.7:alpha=0.9", dataclasses.replace(cfg.mdp, x_max=3), 0.7, 0.9
+    capped = dataclasses.replace(cfg.mdp, gamma_y_kind="linear-capped", gamma_y_cap=0.05)
+    yield "linear-capped:cap=0.05:lam=0.5:alpha=0.9", capped, 0.5, 0.9
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.parse_args(argv)
+
+    for name in ("desk_scale", "full_scale"):
+        cfg = preset(name)
+        grid = cfg.build_grid()
+        for label, mcfg, lam, alpha in families(cfg):
+            family = solve_family(lam, alpha, mcfg, cfg.pm, grid, cfg.tau.horizons)
+            print(f"family {name}:{label} {family_digest(family)}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for step in CLI_STEPS:
+            out = os.path.join(tmp, step[0])
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(step + ["--preset", "desk_scale", "--out-dir", out])
+            if code != 0:
+                print(f"evcharge {' '.join(step)} exited with {code}", file=sys.stderr)
+                return code
+            for csv_name in sorted(os.listdir(out)):
+                with open(os.path.join(out, csv_name), "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                print(f"csv {step[0]}/{csv_name} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

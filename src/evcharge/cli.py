@@ -18,7 +18,7 @@ import numpy as np
 
 from . import beta_search, mdp, policy_eval, price_model
 from .config import ConfigError, ExperimentConfig, load_config, preset
-from .risk import RiskSchedule
+from .risk import RiskParams, RiskSchedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -48,12 +48,31 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
+def _horizon_cfg(args, cfg: ExperimentConfig) -> mdp.MdpConfig:
+    """The MDP at --horizon, or at the config's longest horizon without it."""
+    horizon = cfg.mdp.horizon if args.horizon is None else args.horizon
+    try:
+        return dataclasses.replace(cfg.mdp, horizon=horizon)
+    except ValueError as exc:
+        raise ConfigError(f"--horizon: {exc}, got {horizon}") from exc
+
+
+def _risk_params(flags: str, lam: float, alpha: float) -> RiskParams:
+    """(lam, alpha) given by command-line flags; out of range, it is a config
+    error naming them."""
+    try:
+        return RiskParams(lam, alpha)
+    except ValueError as exc:
+        raise ConfigError(f"{flags}: {exc}, got lam={lam}, alpha={alpha}") from exc
+
+
 def cmd_solve(args) -> int:
     cfg = _load(args)
-    horizon = args.horizon or cfg.mdp.horizon
+    mcfg = _horizon_cfg(args, cfg)
+    horizon = mcfg.horizon
+    beta = RiskSchedule((_risk_params("--lam/--alpha", args.lam, args.alpha),) * (horizon + 1))
     grid = cfg.build_grid()
-    beta = RiskSchedule.homogeneous(args.lam, args.alpha, horizon)
-    sol = mdp.solve(dataclasses.replace(cfg.mdp, horizon=horizon), beta, cfg.pm, grid)
+    sol = mdp.solve(mcfg, beta, cfg.pm, grid)
 
     out = cfg.output_dir
     _write_csv(os.path.join(out, "thresholds.csv"), ["t", "p", "threshold"],
@@ -66,29 +85,33 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_floats(flag: str, text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
-    lambdas = _parse_floats(args.lambdas)
-    alphas = _parse_floats(args.alphas)
+    lambdas = _parse_floats("--lambdas", args.lambdas)
+    alphas = _parse_floats("--alphas", args.alphas)
     if not lambdas or not alphas:
         print("usage: verify needs nonempty --lambdas and --alphas", file=sys.stderr)
         return EXIT_CONFIG
-    horizon = args.horizon or cfg.mdp.horizon
+    mcfg = _horizon_cfg(args, cfg)
+    horizon = mcfg.horizon
     grid = cfg.build_grid()
-    mcfg = dataclasses.replace(cfg.mdp, horizon=horizon)
 
     rows = []
     failed = False
     sols = {}
-    trans = {}  # each phase's P_t, built once for every (lam, alpha)
+    tables = {}  # each phase's P_t and the terminal rates, built once for every (lam, alpha)
     for lam in lambdas:
         for alpha in alphas:
-            beta = RiskSchedule.homogeneous(lam, alpha, horizon)
-            sol = mdp.solve_horizons(mcfg, beta, cfg.pm, grid, [horizon], trans)[horizon]
+            rp = _risk_params("--lambdas/--alphas", lam, alpha)
+            beta = RiskSchedule((rp,) * (horizon + 1))
+            sol = mdp.solve_horizons(mcfg, beta, cfg.pm, grid, [horizon], tables)[horizon]
             sols[(lam, alpha)] = sol
             report = mdp.verify_structure(sol, tolerance=args.tolerance)
             for c in report.checks:
@@ -118,6 +141,9 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    _risk_params("--lam/--alpha", args.lam, args.alpha)
+    if args.dump_paths < 0:
+        raise ConfigError(f"--dump-paths must be >= 0, got {args.dump_paths}")
     grid = cfg.build_grid()
     family = beta_search.solve_family(args.lam, args.alpha, cfg.mdp, cfg.pm,
                                       grid, cfg.tau.horizons)

@@ -221,6 +221,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
     for field in ("sample_lambdas", "sample_alphas"):
         if not getattr(cfg, field):
             raise ConfigError(f"beta_search.{field} must not be empty")
+    if not 0.0 <= cfg.delta <= 1.0:
+        raise ConfigError(f"simulation.delta must be in [0, 1], got {cfg.delta}")
     if cfg.risk_kind not in RISK_KINDS:
         raise ConfigError(f"simulation.risk_kind: unknown practical risk kind "
                           f"{cfg.risk_kind!r}; expected one of {RISK_KINDS}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .price_model import PriceGrid, PriceModelParams, noise_dist, transition_matrix
-from .risk import RiskParams, RiskSchedule, mean_cvar_kernel, mean_cvar_rows
+from .risk import RiskParams, RiskSchedule, SortedRows, mean_cvar_kernel, mean_cvar_rows
 
 MWH_PER_KWH = 1e-3  # $/MWh -> $/kWh
 
@@ -63,6 +63,8 @@ class MdpConfig:
             raise ValueError("p_ref must be >= 0")
         if self.gamma_y_kind not in ("softplus", "linear-capped"):
             raise ValueError(f"unknown gamma_y_kind {self.gamma_y_kind!r}")
+        if self.gamma_y_cap < 0:
+            raise ValueError("gamma_y_cap must be >= 0")
 
     @property
     def fast_regime(self) -> bool:
@@ -116,16 +118,24 @@ class MdpSolution:
 
 
 def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
-                    grid: PriceGrid) -> np.ndarray:
+                    grid: PriceGrid, tables: dict | None = None) -> np.ndarray:
     """Boundary condition: risk of the inconvenience compensation paid one
-    period after the customer returns.  Shape (r_max+1, n_p)."""
+    period after the customer returns.  Shape (r_max+1, n_p).
+
+    The compensation rates per (grid price, next-price outcome), sorted, depend
+    on the horizon and gamma_Y but not on beta_T; tables, when given, keeps
+    them for other calls on the same (pm, grid)."""
     T = cfg.horizon
-    psi = noise_dist(T, pm)
-    # deseasonalized next-period price deviation, $/kWh
-    y_support = psi.support - pm.seasonality(T + 1)
-    # compensation rate per next-period outcome, one row per current price
-    gamma = cfg.gamma_y((grid.points[:, None] * pm.decay + y_support) * MWH_PER_KWH)
-    rho_gamma = mean_cvar_rows(gamma, psi.probs, beta_T)  # (n_p,)
+    tables = {} if tables is None else tables
+    key = ("terminal", T, cfg.gamma_y_kind, cfg.gamma_y_cap)
+    if key not in tables:
+        psi = noise_dist(T, pm)
+        # deseasonalized next-period price deviation, $/kWh
+        y_support = psi.support - pm.seasonality(T + 1)
+        # compensation rate per next-period outcome, one row per current price
+        gamma = cfg.gamma_y((grid.points[:, None] * pm.decay + y_support) * MWH_PER_KWH)
+        tables[key] = SortedRows.of(gamma, psi.probs)
+    rho_gamma = tables[key].mean_cvar(beta_T)  # (n_p,)
     h = (cfg.benchmark(T) - np.arange(cfg.r_max + 1)).astype(float)
     return cfg.compensation(h[:, None], rho_gamma[None, :])
 
@@ -157,19 +167,21 @@ def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
 
 
 def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, grid: PriceGrid,
-                   horizons, trans: dict | None = None) -> dict[int, MdpSolution]:
+                   horizons, tables: dict | None = None) -> dict[int, MdpSolution]:
     """Risk-averse backward induction at every horizon in one sweep over
     t = max(horizons)-1..0; horizon T steps with beta[0..T-1] and ends with
     beta[T].  Each t builds P_t, K_t and the short-row mask once and steps the
-    table of every horizon T > t with them.  trans, when given, keeps each
-    phase's P_t with its row cumulative sums for other sweeps on the same
-    (pm, grid)."""
+    table of every horizon T > t with them.
+
+    tables, when given, keeps what no beta changes for other sweeps on the same
+    (pm, grid): each phase's P_t with its row cumulative sums, and each
+    horizon's sorted terminal compensation rates (see terminal_values)."""
     horizons = sorted({int(T) for T in horizons})
     if beta.horizon != horizons[-1]:
         raise ValueError(f"risk schedule length {beta.horizon + 1} does not match "
                          f"horizon {horizons[-1]}")
     cfg.check_compensation_lipschitz(pm)
-    trans = {} if trans is None else trans
+    tables = {} if tables is None else tables
     cfgs = {T: replace(cfg, horizon=T) for T in horizons}
 
     n_r = cfg.r_max + 1
@@ -181,15 +193,15 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
     thresholds = {T: np.empty((T, n_p), dtype=int) for T in horizons}
     fallback_rows = dict.fromkeys(horizons, 0)
     for T in horizons:
-        values[T][T] = terminal_values(cfgs[T], beta[T], pm, grid)
+        values[T][T] = terminal_values(cfgs[T], beta[T], pm, grid, tables)
 
     pad = np.full((cfg.x_max, n_p), np.inf)
     for t in range(horizons[-1] - 1, -1, -1):
         phase = t % pm.seas_period
-        if phase not in trans:
+        if ("transition", phase) not in tables:
             p_t = transition_matrix(phase, pm, grid)
-            trans[phase] = p_t, np.cumsum(p_t, axis=1)
-        p_t, cum = trans[phase]
+            tables["transition", phase] = p_t, np.cumsum(p_t, axis=1)
+        p_t, cum = tables["transition", phase]
         # rows of P_t whose mass never passes alpha leave the kernel's tail incomplete
         short = (beta[t].lam > 0.0) & (cum[:, -1] <= beta[t].alpha)
         kernel = mean_cvar_kernel(p_t, cum, beta[t])

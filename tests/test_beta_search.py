@@ -16,7 +16,7 @@ from evcharge.beta_search import (
 from evcharge.config import preset
 from evcharge.mdp import solve
 from evcharge.policy_eval import TauDist
-from evcharge.risk import RiskSchedule
+from evcharge.risk import RiskParams, RiskSchedule
 
 
 def make_samples(func, n=100, seed=0, noise=0.0):
@@ -196,29 +196,62 @@ def test_solve_family_matches_separate_solves(lam, alpha):
         assert sol.fallback_rows == alone.fallback_rows == 0
 
 
+def counting_calls(calls, real):
+    def wrapper(t, *args):
+        calls.append(t)
+        return real(t, *args)
+    return wrapper
+
+
 def test_shared_tables_change_no_bit(monkeypatch):
-    # families solved with one shared trans dict equal families solved alone,
-    # and each phase's transition matrix is built once for all of them
+    # families solved with one shared tables dict equal families solved alone;
+    # each phase's transition matrix and each horizon's terminal table is built
+    # once for all of them
     cfg = preset("desk_scale")
     grid = cfg.build_grid()
-    built = []
-    real = mdp.transition_matrix
-
-    def counting(t, *args):
-        built.append(t)
-        return real(t, *args)
-
-    trans = {}
+    built, terminal = [], []
+    tables = {}
     betas = [(0.6, 0.8), (0.0, 0.5), (1.0, 0.98)]
     with monkeypatch.context() as m:
-        m.setattr(mdp, "transition_matrix", counting)
+        m.setattr(mdp, "transition_matrix", counting_calls(built, mdp.transition_matrix))
+        # mdp looks noise_dist up only for terminal tables
+        m.setattr(mdp, "noise_dist", counting_calls(terminal, mdp.noise_dist))
         shared = [beta_search.solve_family(lam, alpha, cfg.mdp, cfg.pm, grid,
-                                           cfg.tau.horizons, trans) for lam, alpha in betas]
+                                           cfg.tau.horizons, tables) for lam, alpha in betas]
     phases = {t % cfg.pm.seas_period for T in cfg.tau.horizons for t in range(T)}
     assert sorted(built) == sorted(phases)
+    assert sorted(terminal) == sorted(cfg.tau.horizons)
     for (lam, alpha), family in zip(betas, shared):
         alone = beta_search.solve_family(lam, alpha, cfg.mdp, cfg.pm, grid, cfg.tau.horizons)
         for T, sol in family.solutions.items():
             np.testing.assert_array_equal(sol.values, alone.solutions[T].values)
             np.testing.assert_array_equal(sol.post_values, alone.solutions[T].post_values)
             np.testing.assert_array_equal(sol.thresholds, alone.solutions[T].thresholds)
+            cfg_T = replace(cfg.mdp, horizon=T)
+            np.testing.assert_array_equal(
+                mdp.terminal_values(cfg_T, RiskParams(lam, alpha), cfg.pm, grid, tables),
+                mdp.terminal_values(cfg_T, RiskParams(lam, alpha), cfg.pm, grid))
+
+
+CAPPED = dict(gamma_y_kind="linear-capped", gamma_y_cap=0.02)
+
+
+@pytest.mark.parametrize("first,second", [({}, CAPPED), (CAPPED, dict(CAPPED, gamma_y_cap=0.01))],
+                         ids=["kind", "cap"])
+def test_shared_terminal_tables_keyed_by_compensation_rate(monkeypatch, first, second):
+    # a family with another gamma_Y builds its own terminal tables in the dict
+    # that a first family filled, and equals itself solved alone
+    cfg = preset("desk_scale")
+    grid = cfg.build_grid()
+    terminal = []
+    tables = {}
+    with monkeypatch.context() as m:
+        m.setattr(mdp, "noise_dist", counting_calls(terminal, mdp.noise_dist))
+        a, b = (beta_search.solve_family(0.7, 0.6, replace(cfg.mdp, **change), cfg.pm, grid,
+                                         cfg.tau.horizons, tables) for change in (first, second))
+    assert len(terminal) == 2 * len(cfg.tau.horizons)
+    alone = beta_search.solve_family(0.7, 0.6, replace(cfg.mdp, **second), cfg.pm, grid,
+                                     cfg.tau.horizons)
+    for T, sol in b.solutions.items():
+        assert not np.array_equal(sol.values[T], a.solutions[T].values[T])
+        np.testing.assert_array_equal(sol.values, alone.solutions[T].values)

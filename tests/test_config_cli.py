@@ -97,6 +97,11 @@ BAD_FIELDS = [
     ("beta_search", "sample_alphas", [], "beta_search.sample_alphas"),
     # r_max = 0 divides by zero in the indicator risk
     ("mdp", "r_max", 0, "mdp: r_max"),
+    # a negative cap pays a negative linear-capped compensation rate
+    ("mdp", "gamma_y_cap", -2.0, "mdp: gamma_y_cap"),
+    # delta < 0 puts every path at risk, delta > 1 none
+    ("simulation", "delta", -0.5, "simulation.delta"),
+    ("simulation", "delta", 1.5, "simulation.delta"),
 ]
 # one id per field; a field's later cases add their value
 BAD_FIELD_IDS = []
@@ -241,6 +246,29 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert [(r["epsilon"], r["feasible"]) for r in rows] == [
             ("Default", "-"), ("-0.500000", "false"), ("0.500000", "true"), ("RN", "-")]
+
+
+# (arguments, flag the error must name); each failed as a traceback, or for
+# --dump-paths -3 wrote all but the last three paths
+BAD_FLAGS = [
+    (["solve", "--horizon", "-1"], "--horizon"),
+    (["solve", "--lam", "1.5"], "--lam"),
+    (["simulate", "--alpha", "0"], "--alpha"),
+    (["verify", "--lambdas", "2"], "--lambdas"),
+    (["verify", "--alphas", "1.0"], "--alphas"),
+    (["verify", "--lambdas", "abc"], "--lambdas"),
+    (["simulate", "--dump-paths", "-3"], "--dump-paths"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
+def test_bad_flag_is_config_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    code = main(argv + ["--config", write_cfg(tmp_path, small_raw()), "--out-dir", str(out)])
+    assert code == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ") and flag in line
+    assert not out.exists()
 
 
 def test_pipeline_draws_once_and_scores_default_on_it(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_rows
+from evcharge.risk import RiskParams, RiskSchedule, SortedRows, mean_cvar_rows
 
 from conftest import random_dist
 from oracles import cvar_grid_search, mean_cvar_grid_search
@@ -137,6 +137,63 @@ def test_translation_invariance_property(values, lam, alpha, shift):
     base = one_row(values, probs, rp)
     assert one_row(values + shift, probs, rp) == pytest.approx(
         base + shift, abs=1e-9)
+
+
+def argsort_mean_cvar(values, probs, rp):
+    """Mean-CVaR in one pass that sorts and splits: the reference that the
+    prepared form must equal bit for bit."""
+    mean = values @ probs
+    if rp.lam == 0.0:
+        return mean
+    order = np.argsort(values, axis=1, kind="stable")
+    v = np.take_along_axis(values, order, axis=1)
+    w = probs[order]
+    cum = np.cumsum(w, axis=1)
+    rows = np.arange(values.shape[0])
+    j = np.argmax(cum > rp.alpha, axis=1)
+    j = np.where(cum[rows, -1] > rp.alpha, j, values.shape[1] - 1)
+    vw_cum = np.cumsum(v * w, axis=1)
+    upper = vw_cum[:, -1] - vw_cum[rows, j]
+    cvar = (upper + v[rows, j] * (cum[rows, j] - rp.alpha)) / (1.0 - rp.alpha)
+    return (1.0 - rp.lam) * mean + rp.lam * cvar
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 5),
+    n_out=st.integers(2, 9),
+    ties=st.booleans(),
+    ascending=st.booleans(),
+    lam=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+    alphas=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_sorted_rows_equal_the_argsort_path(seed, n_rows, n_out, ties, ascending, lam, alphas):
+    # rows prepared once equal a one-pass sort and split at every alpha, bit
+    # for bit, whether the rows come ascending, tied or out of order
+    rng = np.random.default_rng(seed)
+    values = (rng.integers(-3, 4, (n_rows, n_out)).astype(float) if ties
+              else rng.normal(0.0, 5.0, (n_rows, n_out)))
+    values = np.sort(values, axis=1)
+    if not ascending:
+        values = rng.permuted(values, axis=1)
+        values[0] = np.sort(values[0])[::-1]
+        if values[0, 0] == values[0, -1]:  # a constant row cannot be out of order
+            values[0, 0] += 1.0
+    probs = rng.random(n_out)
+    probs[rng.random(n_out) < 0.2] = 0.0  # atoms of zero mass
+    probs[rng.integers(n_out)] += 0.1
+    probs /= probs.sum()
+    prepared = SortedRows.of(values, probs)
+    assert np.all(np.diff(prepared.values, axis=1) >= 0.0)
+    for alpha in alphas:
+        rp = RiskParams(lam, alpha)
+        got = prepared.mean_cvar(rp)
+        np.testing.assert_array_equal(got, argsort_mean_cvar(values, probs, rp))
+        np.testing.assert_array_equal(mean_cvar_rows(values, probs, rp), got)
+        for i in range(n_rows):
+            assert got[i] == pytest.approx(mean_cvar_grid_search(values[i], probs, rp),
+                                           abs=1e-12)
 
 
 class TestRiskSchedule:

@@ -45,3 +45,19 @@ def test_full_scale_comparison(tmp_path):
     for r in rows:
         assert 0.0 <= float(r["risk"]) <= 1.0
         assert float(r["reward_se"]) >= 0.0
+
+
+def test_identity_digest():
+    proc = run_script("identity_digest.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(" ") for line in proc.stdout.splitlines()]
+    assert all(len(parts) == 3 and len(parts[2]) == 64 for parts in lines)
+    names = [(kind, name) for kind, name, _ in lines]
+    assert len(set(names)) == len(names)
+    assert sum(kind == "family" for kind, _ in names) == 14
+    assert {name for kind, name in names if kind == "csv"} == {
+        "solve/thresholds.csv", "solve/values_t0.csv", "verify/structure_report.csv",
+        "simulate/metrics.csv", "simulate/trajectories.csv", "pipeline/beta_path.csv",
+        "pipeline/fitted_surfaces.csv", "pipeline/metrics_samples.csv",
+        "pipeline/selection_table.csv", "price-check/noise_t0.csv",
+        "price-check/price_grid.csv"}
