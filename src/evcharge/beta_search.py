@@ -182,13 +182,11 @@ class PipelineResult:
 
 
 def solve_family(lam: float, alpha: float, cfg: MdpConfig, pm: PriceModelParams,
-                 grid: PriceGrid, horizons, tables: dict | None = None) -> ThresholdPolicyFamily:
+                 grid: PriceGrid, horizons) -> ThresholdPolicyFamily:
     """Solve the MDP at every reservation length needed by the tau distribution,
-    in one backward sweep.  tables, when given, is shared with other families
-    on the same (pm, grid): it keeps each phase's transition matrix and each
-    horizon's sorted terminal compensation rates (see mdp.solve_horizons)."""
+    in one backward sweep (see mdp.solve_horizons)."""
     beta = RiskSchedule.homogeneous(lam, alpha, max(int(T) for T in horizons))
-    return ThresholdPolicyFamily(solve_horizons(cfg, beta, pm, grid, horizons, tables))
+    return ThresholdPolicyFamily(solve_horizons(cfg, beta, pm, grid, horizons))
 
 
 def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
@@ -198,21 +196,18 @@ def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
     """Three-step selection: estimate metrics for sampled betas, fit both
     surfaces, then solve and simulate the recommendation for each epsilon.
 
-    What no beta changes is built once: the transition matrix of each phase
-    and the sorted terminal compensation rates of each horizon, shared by
-    every family (whose terminal values are then only the quantile split at
-    its alpha), and one Scenario on which every family and the
-    continuous-charging Default are scored.  Each distinct effective beta is
-    solved and scored once.  Alpha plays no part when lam = 0, so every
-    risk-neutral pair, the RN anchor included, shares one evaluation."""
-    tables: dict = {}
+    What no beta changes is built once: the grid holds the solver's tables for
+    every family, and one Scenario scores every family and the Default.  Each
+    distinct effective beta is solved and scored once.  Alpha plays no part
+    when lam = 0, so every risk-neutral pair, the RN anchor included, shares
+    one evaluation."""
     scenario = Scenario.sample(tau_dist, pm, p0, n_paths, seed)
     cache: dict[tuple[float, float], PracticalMetrics] = {}
 
     def measure(lam, alpha):
         key = (float(lam), float(alpha)) if lam > 0 else (0.0, 0.5)
         if key not in cache:
-            family = solve_family(*key, cfg, pm, grid, tau_dist.horizons, tables)
+            family = solve_family(*key, cfg, pm, grid, tau_dist.horizons)
             cache[key] = scenario.score(family, cfg, risk_kind=risk_kind, delta=delta)
         return cache[key]
 

@@ -97,8 +97,9 @@ def cmd_verify(args) -> int:
     lambdas = _parse_floats("--lambdas", args.lambdas)
     alphas = _parse_floats("--alphas", args.alphas)
     if not lambdas or not alphas:
-        print("usage: verify needs nonempty --lambdas and --alphas", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{'--alphas' if lambdas else '--lambdas'} needs at least one value")
+    if not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     mcfg = _horizon_cfg(args, cfg)
     horizon = mcfg.horizon
     grid = cfg.build_grid()
@@ -106,13 +107,11 @@ def cmd_verify(args) -> int:
     rows = []
     failed = False
     sols = {}
-    tables = {}  # each phase's P_t and the terminal rates, built once for every (lam, alpha)
     for lam in lambdas:
         for alpha in alphas:
             rp = _risk_params("--lambdas/--alphas", lam, alpha)
             beta = RiskSchedule((rp,) * (horizon + 1))
-            sol = mdp.solve_horizons(mcfg, beta, cfg.pm, grid, [horizon], tables)[horizon]
-            sols[(lam, alpha)] = sol
+            sols[(lam, alpha)] = sol = mdp.solve(mcfg, beta, cfg.pm, grid)
             report = mdp.verify_structure(sol, tolerance=args.tolerance)
             for c in report.checks:
                 rows.append((c.name, lam, alpha, horizon,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .price_model import PriceGrid, PriceModelParams, noise_dist, transition_matrix
-from .risk import RiskParams, RiskSchedule, SortedRows, mean_cvar_kernel, mean_cvar_rows
+from .risk import RiskParams, RiskSchedule, SortedRows, mean_cvar_rows
 
 MWH_PER_KWH = 1e-3  # $/MWh -> $/kWh
 
@@ -118,15 +118,14 @@ class MdpSolution:
 
 
 def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
-                    grid: PriceGrid, tables: dict | None = None) -> np.ndarray:
+                    grid: PriceGrid) -> np.ndarray:
     """Boundary condition: risk of the inconvenience compensation paid one
     period after the customer returns.  Shape (r_max+1, n_p).
 
     The compensation rates per (grid price, next-price outcome), sorted, depend
-    on the horizon and gamma_Y but not on beta_T; tables, when given, keeps
-    them for other calls on the same (pm, grid)."""
+    on the horizon and gamma_Y but not on beta_T, so the grid holds them."""
     T = cfg.horizon
-    tables = {} if tables is None else tables
+    tables = grid.tables(pm)
     key = ("terminal", T, cfg.gamma_y_kind, cfg.gamma_y_cap)
     if key not in tables:
         psi = noise_dist(T, pm)
@@ -140,7 +139,33 @@ def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
     return cfg.compensation(h[:, None], rho_gamma[None, :])
 
 
-def _post_decision(v_next: np.ndarray, trans: np.ndarray, kernel: np.ndarray,
+@dataclass(frozen=True)
+class TransitionBand:
+    """A price transition matrix P_t in band form: its nonzero entries in
+    row-major order, with the row cumulative sums the mean-CVaR kernel reads."""
+
+    flat: np.ndarray    # flat indices i * n + j of the nonzero P_t[i, j], ascending
+    probs: np.ndarray   # P_t at those entries
+    cum: np.ndarray     # np.cumsum(P_t, axis=1) at those entries
+    totals: np.ndarray  # (n,) row sums of P_t
+
+    @classmethod
+    def of(cls, trans: np.ndarray) -> "TransitionBand":
+        cum = np.cumsum(trans, axis=1)
+        flat = np.flatnonzero(trans)
+        return cls(flat, trans.ravel()[flat], cum.ravel()[flat], cum[:, -1].copy())
+
+    def kernel(self, rp: RiskParams) -> np.ndarray:
+        """Dense linear form K_t of mean_cvar_rows, 0 wherever P_t is: values @ K_t[i]
+        is the mean-CVaR under P_t[i] of each row of values nondecreasing in price."""
+        n = len(self.totals)
+        k = np.zeros(n * n)
+        tail = np.clip(self.cum - rp.alpha, 0.0, self.probs) / (1.0 - rp.alpha)
+        k[self.flat] = (1.0 - rp.lam) * self.probs + rp.lam * tail
+        return k.reshape(n, n)
+
+
+def _post_decision(v_next: np.ndarray, band: TransitionBand, kernel: np.ndarray,
                    short: np.ndarray, rp: RiskParams) -> tuple[np.ndarray, int]:
     """post[r~, ip], the mean-CVaR of V_{t+1}(r~, P_{t+1}) given P_t = grid[ip],
     and the number of entries the sort-based fallback scored.
@@ -149,14 +174,16 @@ def _post_decision(v_next: np.ndarray, trans: np.ndarray, kernel: np.ndarray,
     the top of the grid and one product with the linear kernel scores all
     states.  Rows that fall more than GRID_ORDER_TOL below their running
     maximum, and prices whose row is short of alpha, are scored per price by
-    mean_cvar_rows on the row's support instead."""
+    mean_cvar_rows on the row's support in the band instead."""
+    n_p = v_next.shape[1]
     post = v_next @ kernel.T
     falls = (np.maximum.accumulate(v_next, axis=1) - v_next > GRID_ORDER_TOL).any(axis=1)
     redo = falls[:, None] | short[None, :]
     for ip in np.flatnonzero(redo.any(axis=0)):
         rows = np.flatnonzero(redo[:, ip])
-        keep = trans[ip] > 0
-        post[rows, ip] = mean_cvar_rows(v_next[np.ix_(rows, keep)], trans[ip, keep], rp)
+        lo, hi = np.searchsorted(band.flat, [ip * n_p, (ip + 1) * n_p])
+        keep = band.flat[lo:hi] - ip * n_p
+        post[rows, ip] = mean_cvar_rows(v_next[np.ix_(rows, keep)], band.probs[lo:hi], rp)
     return post, int(redo.sum())
 
 
@@ -167,21 +194,19 @@ def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
 
 
 def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, grid: PriceGrid,
-                   horizons, tables: dict | None = None) -> dict[int, MdpSolution]:
+                   horizons) -> dict[int, MdpSolution]:
     """Risk-averse backward induction at every horizon in one sweep over
     t = max(horizons)-1..0; horizon T steps with beta[0..T-1] and ends with
-    beta[T].  Each t builds P_t, K_t and the short-row mask once and steps the
-    table of every horizon T > t with them.
-
-    tables, when given, keeps what no beta changes for other sweeps on the same
-    (pm, grid): each phase's P_t with its row cumulative sums, and each
-    horizon's sorted terminal compensation rates (see terminal_values)."""
+    beta[T].  Each t builds K_t and the short-row mask once and steps the
+    table of every horizon T > t with them.  What no beta changes the grid
+    holds (see PriceGrid.tables): each phase's P_t as a TransitionBand and
+    each horizon's sorted terminal compensation rates (see terminal_values)."""
     horizons = sorted({int(T) for T in horizons})
     if beta.horizon != horizons[-1]:
         raise ValueError(f"risk schedule length {beta.horizon + 1} does not match "
                          f"horizon {horizons[-1]}")
     cfg.check_compensation_lipschitz(pm)
-    tables = {} if tables is None else tables
+    tables = grid.tables(pm)
     cfgs = {T: replace(cfg, horizon=T) for T in horizons}
 
     n_r = cfg.r_max + 1
@@ -193,21 +218,20 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
     thresholds = {T: np.empty((T, n_p), dtype=int) for T in horizons}
     fallback_rows = dict.fromkeys(horizons, 0)
     for T in horizons:
-        values[T][T] = terminal_values(cfgs[T], beta[T], pm, grid, tables)
+        values[T][T] = terminal_values(cfgs[T], beta[T], pm, grid)
 
     pad = np.full((cfg.x_max, n_p), np.inf)
     for t in range(horizons[-1] - 1, -1, -1):
         phase = t % pm.seas_period
         if ("transition", phase) not in tables:
-            p_t = transition_matrix(phase, pm, grid)
-            tables["transition", phase] = p_t, np.cumsum(p_t, axis=1)
-        p_t, cum = tables["transition", phase]
+            tables["transition", phase] = TransitionBand.of(transition_matrix(phase, pm, grid))
+        band = tables["transition", phase]
         # rows of P_t whose mass never passes alpha leave the kernel's tail incomplete
-        short = (beta[t].lam > 0.0) & (cum[:, -1] <= beta[t].alpha)
-        kernel = mean_cvar_kernel(p_t, cum, beta[t])
+        short = (beta[t].lam > 0.0) & (band.totals <= beta[t].alpha)
+        kernel = band.kernel(beta[t])
         # one table at a time: stacked, a step's arrays outgrow the cache (measured slower)
         for T in [h for h in horizons if h > t]:
-            post, n_fallback = _post_decision(values[T][t + 1], p_t, kernel, short, beta[t])
+            post, n_fallback = _post_decision(values[T][t + 1], band, kernel, short, beta[t])
             post_values[T][t] = post
             fallback_rows[T] += n_fallback
             # smallest minimizer of r~ * p + post(r~) defines the threshold

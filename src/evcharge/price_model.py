@@ -8,7 +8,7 @@ transitions live on a finite uniform grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -97,13 +97,16 @@ class DiscreteDist:
 
 @dataclass(frozen=True)
 class PriceGrid:
-    """Uniform grid of admissible spot-price states."""
+    """Uniform grid of admissible spot-price states.  It holds the tables that
+    solves on it share (see :meth:`tables`), so points is a read-only copy."""
 
     points: np.ndarray
     step: float = 1.0
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
+        points = np.array(self.points, dtype=float)
+        points.setflags(write=False)
         object.__setattr__(self, "points", points)
         if points.size == 0:
             raise ValueError("price grid is empty")
@@ -113,6 +116,13 @@ class PriceGrid:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    def tables(self, params: PriceModelParams) -> dict:
+        """What the solver computes on this grid for price model params and no
+        risk parameter changes; held for one model at a time."""
+        if params not in self._held:
+            self._held.clear()
+        return self._held.setdefault(params, {})
 
     def nearest_index(self, p) -> np.ndarray:
         """Index of the grid point closest to p (clipped to the grid)."""

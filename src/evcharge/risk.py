@@ -5,8 +5,6 @@ row and splits the atom at the quantile proportionally, which equals the
 Rockafellar-Uryasev infimum exactly and needs no solver.  Its sorted form does
 not depend on (lam, alpha), so rows scored at many risk parameters are sorted
 once; :func:`mean_cvar_rows` is its one-shot call.
-:func:`mean_cvar_kernel` is its linear form for rows already in sorted order,
-which the solver applies as one matrix product.
 """
 
 from __future__ import annotations
@@ -97,18 +95,3 @@ def mean_cvar_rows(values: np.ndarray, probs: np.ndarray, rp: RiskParams) -> np.
     if rp.lam == 0.0:
         return values @ probs
     return SortedRows.of(values, probs).mean_cvar(rp)
-
-
-def mean_cvar_kernel(trans: np.ndarray, cum: np.ndarray, rp: RiskParams) -> np.ndarray:
-    """Linear form of :func:`mean_cvar_rows` for values nondecreasing along the
-    outcome axis.
-
-    Row i reweights the row-stochastic trans[i] so that values @ K[i] is the
-    mean-CVaR of values under trans[i] whenever each row of values is
-    nondecreasing: the upper (1 - alpha) tail is then the last atoms in grid
-    order, with the quantile atom split as mean_cvar_rows splits it.  cum is
-    np.cumsum(trans, axis=1)."""
-    if rp.lam == 0.0:
-        return trans
-    tail = np.clip(cum - rp.alpha, 0.0, trans) / (1.0 - rp.alpha)
-    return (1.0 - rp.lam) * trans + rp.lam * tail

@@ -36,6 +36,14 @@ def mean_cvar_grid_search(values: np.ndarray, probs: np.ndarray, rp: RiskParams)
     return (1.0 - rp.lam) * mean + rp.lam * cvar_grid_search(values, probs, rp.alpha)
 
 
+def dense_mean_cvar_kernel(trans: np.ndarray, cum: np.ndarray, lam: float,
+                           alpha: float) -> np.ndarray:
+    """The solver's linear mean-CVaR kernel over the whole dense matrix:
+    (1 - lam) p + lam clip(c - alpha, 0, p) / (1 - alpha) per entry, where c is
+    the row's cumulative sum.  The band-built kernel must equal it bit for bit."""
+    return (1.0 - lam) * trans + lam * (np.clip(cum - alpha, 0.0, trans) / (1.0 - alpha))
+
+
 def terminal_table(cfg: MdpConfig, rp: RiskParams, pm: PriceModelParams,
                    grid: PriceGrid) -> np.ndarray:
     """Terminal values (r_max+1, n_p): the compensation paid one period after

@@ -16,6 +16,7 @@ from evcharge.beta_search import (
 from evcharge.config import preset
 from evcharge.mdp import solve
 from evcharge.policy_eval import TauDist
+from evcharge.price_model import PriceGrid
 from evcharge.risk import RiskParams, RiskSchedule
 
 
@@ -203,34 +204,40 @@ def counting_calls(calls, real):
     return wrapper
 
 
+def assert_same_family(family, alone):
+    for T, sol in family.solutions.items():
+        np.testing.assert_array_equal(sol.values, alone.solutions[T].values)
+        np.testing.assert_array_equal(sol.post_values, alone.solutions[T].post_values)
+        np.testing.assert_array_equal(sol.thresholds, alone.solutions[T].thresholds)
+        assert sol.fallback_rows == alone.solutions[T].fallback_rows
+
+
 def test_shared_tables_change_no_bit(monkeypatch):
-    # families solved with one shared tables dict equal families solved alone;
-    # each phase's transition matrix and each horizon's terminal table is built
-    # once for all of them
+    # separate families solved on one grid equal families each solved on a
+    # fresh grid; the grid builds each phase's transition and each horizon's
+    # terminal table once for all of them
     cfg = preset("desk_scale")
     grid = cfg.build_grid()
     built, terminal = [], []
-    tables = {}
     betas = [(0.6, 0.8), (0.0, 0.5), (1.0, 0.98)]
     with monkeypatch.context() as m:
         m.setattr(mdp, "transition_matrix", counting_calls(built, mdp.transition_matrix))
         # mdp looks noise_dist up only for terminal tables
         m.setattr(mdp, "noise_dist", counting_calls(terminal, mdp.noise_dist))
-        shared = [beta_search.solve_family(lam, alpha, cfg.mdp, cfg.pm, grid,
-                                           cfg.tau.horizons, tables) for lam, alpha in betas]
+        shared = [beta_search.solve_family(lam, alpha, cfg.mdp, cfg.pm, grid, cfg.tau.horizons)
+                  for lam, alpha in betas]
     phases = {t % cfg.pm.seas_period for T in cfg.tau.horizons for t in range(T)}
     assert sorted(built) == sorted(phases)
     assert sorted(terminal) == sorted(cfg.tau.horizons)
     for (lam, alpha), family in zip(betas, shared):
-        alone = beta_search.solve_family(lam, alpha, cfg.mdp, cfg.pm, grid, cfg.tau.horizons)
-        for T, sol in family.solutions.items():
-            np.testing.assert_array_equal(sol.values, alone.solutions[T].values)
-            np.testing.assert_array_equal(sol.post_values, alone.solutions[T].post_values)
-            np.testing.assert_array_equal(sol.thresholds, alone.solutions[T].thresholds)
+        fresh = cfg.build_grid()
+        assert_same_family(family, beta_search.solve_family(lam, alpha, cfg.mdp, cfg.pm, fresh,
+                                                            cfg.tau.horizons))
+        for T in family.solutions:
             cfg_T = replace(cfg.mdp, horizon=T)
             np.testing.assert_array_equal(
-                mdp.terminal_values(cfg_T, RiskParams(lam, alpha), cfg.pm, grid, tables),
-                mdp.terminal_values(cfg_T, RiskParams(lam, alpha), cfg.pm, grid))
+                mdp.terminal_values(cfg_T, RiskParams(lam, alpha), cfg.pm, grid),
+                mdp.terminal_values(cfg_T, RiskParams(lam, alpha), cfg.pm, cfg.build_grid()))
 
 
 CAPPED = dict(gamma_y_kind="linear-capped", gamma_y_cap=0.02)
@@ -239,19 +246,43 @@ CAPPED = dict(gamma_y_kind="linear-capped", gamma_y_cap=0.02)
 @pytest.mark.parametrize("first,second", [({}, CAPPED), (CAPPED, dict(CAPPED, gamma_y_cap=0.01))],
                          ids=["kind", "cap"])
 def test_shared_terminal_tables_keyed_by_compensation_rate(monkeypatch, first, second):
-    # a family with another gamma_Y builds its own terminal tables in the dict
-    # that a first family filled, and equals itself solved alone
+    # a family with another gamma_Y builds its own terminal tables on the grid
+    # that a first family filled, and equals itself solved on a fresh grid
     cfg = preset("desk_scale")
     grid = cfg.build_grid()
     terminal = []
-    tables = {}
     with monkeypatch.context() as m:
         m.setattr(mdp, "noise_dist", counting_calls(terminal, mdp.noise_dist))
         a, b = (beta_search.solve_family(0.7, 0.6, replace(cfg.mdp, **change), cfg.pm, grid,
-                                         cfg.tau.horizons, tables) for change in (first, second))
+                                         cfg.tau.horizons) for change in (first, second))
     assert len(terminal) == 2 * len(cfg.tau.horizons)
-    alone = beta_search.solve_family(0.7, 0.6, replace(cfg.mdp, **second), cfg.pm, grid,
-                                     cfg.tau.horizons)
+    alone = beta_search.solve_family(0.7, 0.6, replace(cfg.mdp, **second), cfg.pm,
+                                     cfg.build_grid(), cfg.tau.horizons)
     for T, sol in b.solutions.items():
         assert not np.array_equal(sol.values[T], a.solutions[T].values[T])
-        np.testing.assert_array_equal(sol.values, alone.solutions[T].values)
+    assert_same_family(b, alone)
+
+
+def test_grid_rebuilds_its_tables_for_another_price_model(monkeypatch):
+    # the grid holds the tables of one price model at a time: a solve with a
+    # second model rebuilds them and equals that model solved on a fresh grid,
+    # and going back to the first model rebuilds its tables again
+    cfg = preset("desk_scale")
+    grid = cfg.build_grid()
+    other = replace(cfg.pm, sigma_Y=1.5 * cfg.pm.sigma_Y, seas_a=-cfg.pm.seas_a)
+    built, terminal = [], []
+    with monkeypatch.context() as m:
+        m.setattr(mdp, "transition_matrix", counting_calls(built, mdp.transition_matrix))
+        m.setattr(mdp, "noise_dist", counting_calls(terminal, mdp.noise_dist))
+        first, second, again = (beta_search.solve_family(0.6, 0.8, cfg.mdp, pm, grid,
+                                                         cfg.tau.horizons)
+                                for pm in (cfg.pm, other, cfg.pm))
+    phases = {t % cfg.pm.seas_period for T in cfg.tau.horizons for t in range(T)}
+    assert sorted(built) == sorted(3 * list(phases))
+    assert sorted(terminal) == sorted(3 * list(cfg.tau.horizons))
+    T = max(cfg.tau.horizons)
+    assert not np.array_equal(second.solutions[T].values, first.solutions[T].values)
+    assert_same_family(second, beta_search.solve_family(0.6, 0.8, cfg.mdp, other,
+                                                        PriceGrid(grid.points),
+                                                        cfg.tau.horizons))
+    assert_same_family(again, first)

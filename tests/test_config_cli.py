@@ -194,12 +194,6 @@ class TestCli:
         assert code == EXIT_OK
         assert os.path.exists(os.path.join(out, "structure_report.csv"))
 
-    def test_verify_empty_grid_is_config_error(self, tmp_path, capsys):
-        code = main(["verify", "--config", write_cfg(tmp_path, small_raw()),
-                     "--lambdas", "", "--alphas", "0.5"])
-        assert code == EXIT_CONFIG
-        assert "usage" in capsys.readouterr().err
-
     def test_missing_field_exit_code(self, tmp_path, capsys):
         raw = small_raw()
         del raw["price_model"]["kappa_Y"]
@@ -249,7 +243,8 @@ class TestCli:
 
 
 # (arguments, flag the error must name); each failed as a traceback, or for
-# --dump-paths -3 wrote all but the last three paths
+# --dump-paths -3 wrote all but the last three paths, or for a negative or NaN
+# --tolerance failed the structure checks of a correct solve
 BAD_FLAGS = [
     (["solve", "--horizon", "-1"], "--horizon"),
     (["solve", "--lam", "1.5"], "--lam"),
@@ -258,6 +253,10 @@ BAD_FLAGS = [
     (["verify", "--alphas", "1.0"], "--alphas"),
     (["verify", "--lambdas", "abc"], "--lambdas"),
     (["simulate", "--dump-paths", "-3"], "--dump-paths"),
+    (["verify", "--lambdas="], "--lambdas"),
+    (["verify", "--alphas="], "--alphas"),
+    (["verify", "--tolerance", "-1"], "--tolerance"),
+    (["verify", "--tolerance", "nan"], "--tolerance"),
 ]
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from evcharge.mdp import (
     MdpConfig,
+    TransitionBand,
     _post_decision,
     bellman_residual,
     linear_capped,
@@ -18,11 +19,12 @@ from evcharge.mdp import (
 )
 from evcharge.policy_eval import ThresholdPolicyFamily
 from evcharge.price_model import PriceGrid, transition_matrix
-from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_kernel, mean_cvar_rows
+from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_rows
 
 from conftest import DESK_PM, MICRO_PM, desk_cfg, micro_cfg
 from oracles import (
     bellman_residual_loop,
+    dense_mean_cvar_kernel,
     enumerate_policies_value,
     greedy_from_tables,
     risk_neutral_dp,
@@ -39,11 +41,11 @@ def sort_path_post(v_next, trans, rp):
 
 
 def kernel_step(grid, t, rp):
-    """(P_t, K_t, mask of the rows of P_t whose mass never passes alpha) on the
-    desk price model, as the solver builds them."""
+    """(P_t, its band, K_t, mask of the rows of P_t whose mass never passes
+    alpha) on the desk price model, as the solver builds them."""
     trans = transition_matrix(t, DESK_PM, grid)
-    cum = np.cumsum(trans, axis=1)
-    return trans, mean_cvar_kernel(trans, cum, rp), (rp.lam > 0.0) & (cum[:, -1] <= rp.alpha)
+    band = TransitionBand.of(trans)
+    return trans, band, band.kernel(rp), (rp.lam > 0.0) & (band.totals <= rp.alpha)
 
 
 def random_schedule(rng, horizon):
@@ -306,7 +308,7 @@ class TestKernelStep:
     def test_kernel_step_matches_sort_path(self, desk_grid, shape, lam, alpha, t, seed):
         rng = np.random.default_rng(seed)
         rp = RiskParams(lam, alpha)
-        trans, kernel, short = kernel_step(desk_grid, t, rp)
+        trans, band, kernel, short = kernel_step(desk_grid, t, rp)
         n_p = len(desk_grid)
         # nondecreasing rows with flat stretches, where noise makes tiny falls
         v_next = np.cumsum(rng.exponential(0.05, (6, n_p)) * (rng.random((6, n_p)) < 0.5), axis=1)
@@ -317,7 +319,7 @@ class TestKernelStep:
             v_next[r, ip:] -= rng.choice([1e-13, 1e-12, 2e-12, 1e-3, 1.0])
         elif shape == "random":
             v_next = rng.normal(0.0, 1.0, (6, n_p))
-        post, n_fallback = _post_decision(v_next, trans, kernel, short, rp)
+        post, n_fallback = _post_decision(v_next, band, kernel, short, rp)
         np.testing.assert_allclose(post, sort_path_post(v_next, trans, rp), rtol=0, atol=1e-12)
         # a row falls when it drops more than 1e-12 below its running maximum
         falls = any(max(row[:i + 1]) - row[i] > 1e-12
@@ -326,11 +328,11 @@ class TestKernelStep:
 
     def test_short_rows_take_the_sort_path(self, desk_grid):
         rp = RiskParams(0.6, 0.8)
-        trans, kernel, _ = kernel_step(desk_grid, 0, rp)
+        trans, band, kernel, _ = kernel_step(desk_grid, 0, rp)
         v_next = np.cumsum(np.random.default_rng(1).exponential(0.05, (6, len(desk_grid))), axis=1)
         short = np.zeros(len(desk_grid), dtype=bool)
         short[[3, 17]] = True
-        post, n_fallback = _post_decision(v_next, trans, kernel, short, rp)
+        post, n_fallback = _post_decision(v_next, band, kernel, short, rp)
         want = sort_path_post(v_next, trans, rp)
         assert n_fallback == 2 * v_next.shape[0]
         np.testing.assert_allclose(post[:, short], want[:, short], rtol=0, atol=1e-14)
@@ -346,3 +348,32 @@ class TestKernelStep:
             want = sort_path_post(sol.values[t + 1], transition_matrix(t, desk_pm, desk_grid),
                                   beta[t])
             np.testing.assert_allclose(sol.post_values[t], want, rtol=0, atol=1e-12)
+
+
+class TestTransitionBand:
+    @given(
+        lam=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        alpha=st.sampled_from([1e-9, 1e-3, 1.0 - 1e-3, 1.0 - 1e-9]) | st.floats(0.01, 0.99),
+        short_mass=st.floats(0.0, 1.0),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_band_kernel_equals_the_dense_formula(self, lam, alpha, short_mass, n, seed):
+        # random sparse row-stochastic matrices; the rows drawn short carry a
+        # total mass below alpha, as a row of P_t that loses mass would
+        rng = np.random.default_rng(seed)
+        trans = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+        trans[np.arange(n), rng.integers(0, n, n)] += rng.random(n) + 1e-3  # no empty row
+        trans /= trans.sum(axis=1, keepdims=True)
+        short = rng.random(n) < 0.3
+        trans[short] *= short_mass * alpha
+        rp = RiskParams(lam, alpha)
+        cum = np.cumsum(trans, axis=1)
+        band = TransitionBand.of(trans)
+        kernel = band.kernel(rp)
+        want = dense_mean_cvar_kernel(trans, cum, lam, alpha)
+        assert kernel.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(band.totals, cum[:, -1])
+        np.testing.assert_array_equal(band.flat, np.flatnonzero(trans))
+        np.testing.assert_array_equal(band.probs, trans[trans > 0])

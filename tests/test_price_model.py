@@ -75,6 +75,17 @@ def test_grid_construction(desk_pm, full_pm):
     assert len(auto) > 100  # escape rule yields a generous grid at full scale
 
 
+def test_grid_points_are_a_read_only_copy():
+    # the grid holds tables computed from its points, so they must not change
+    # under it; the caller's own array stays the caller's
+    mine = np.arange(10.0, 15.0)
+    grid = PriceGrid(mine)
+    with pytest.raises(ValueError, match="read-only"):
+        grid.points[0] = 0.0
+    mine[0] = 0.0
+    assert grid.points[0] == 10.0
+
+
 def test_next_price_dist_point_mass(micro_pm, micro_grid):
     pm = PriceModelParams(kappa_Y=0.5, mu_Y=0.0, sigma_Y=0.0, mu_J=0.0, sigma_J=0.0,
                           jump_prob=0.0, seas_a=0.0, seas_b=0.0, seas_c=10.0, seas_period=4)
