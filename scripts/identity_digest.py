@@ -5,7 +5,10 @@ checking that a change leaves every result bit-identical.
 Each output line is ``<kind> <name> <sha256>``.  A ``family`` line hashes the
 ``values``, ``post_values``, ``thresholds`` and ``fallback_rows`` of every
 horizon of one ``solve_family``: both presets at five betas, one family with
-x_max < r_max per preset, and one linear-capped family per preset.  A ``csv``
+x_max < r_max per preset, and one linear-capped family per preset; the
+``thresholds`` line beside it hashes the thresholds alone, so a change that
+keeps every threshold and moves values by rounding shows in ``family`` lines
+only.  A ``csv``
 line hashes one file written by ``solve``, ``verify``, ``simulate
 --dump-paths 20``, ``pipeline`` or ``price-check`` on the desk preset.
 
@@ -47,6 +50,13 @@ def family_digest(family) -> str:
     return h.hexdigest()
 
 
+def thresholds_digest(family) -> str:
+    h = hashlib.sha256()
+    for T in sorted(family.solutions):
+        h.update(np.ascontiguousarray(family.solutions[T].thresholds).tobytes())
+    return h.hexdigest()
+
+
 def families(cfg):
     """(label, mdp config, lam, alpha) of every family digested on one preset."""
     for lam, alpha in BETAS:
@@ -67,6 +77,7 @@ def main(argv=None) -> int:
         for label, mcfg, lam, alpha in families(cfg):
             family = solve_family(lam, alpha, mcfg, cfg.pm, grid, cfg.tau.horizons)
             print(f"family {name}:{label} {family_digest(family)}")
+            print(f"thresholds {name}:{label} {thresholds_digest(family)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         for step in CLI_STEPS:

@@ -24,6 +24,11 @@ MWH_PER_KWH = 1e-3  # $/MWh -> $/kWh
 # the rounding noise in the solver's monotone tables stays below it.
 GRID_ORDER_TOL = 1e-12
 
+# A level whose target r~ * p + post(r~) is within TIE_TOL of the minimum ties
+# with it, and the threshold is the smallest such level.  Rounding separates
+# near-minimal targets by at most 1e-12; real gaps on both presets exceed 1e-9.
+TIE_TOL = 1e-11
+
 
 def softplus(y):
     # overflow-safe log(1 + exp(y))
@@ -104,7 +109,7 @@ class MdpSolution:
 
     values[t, r, ip] is V_{t,T}(r, grid[ip]); post_values[t, r~, ip] the
     post-decision value at t < T; thresholds[t, ip] the smallest post-decision
-    minimizer.  fallback_rows counts the post-decision entries that the
+    level within TIE_TOL of the minimum.  fallback_rows counts the post-decision entries that the
     sort-based mean_cvar_rows scored in place of the linear kernel (see
     _post_decision); it is 0 when V is nondecreasing in price throughout.
     """
@@ -234,18 +239,20 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
             post, n_fallback = _post_decision(values[T][t + 1], band, kernel, short, beta[t])
             post_values[T][t] = post
             fallback_rows[T] += n_fallback
-            # smallest minimizer of r~ * p + post(r~) defines the threshold
             target = level_cost + post
-            thresholds[T][t] = np.argmin(target, axis=0)
             # V_t(r, p) = min over x of x p - c_f + post(r + x), the exact min of
             # `target` over the reachable levels r..min(r + x_max, r_max), so neither
             # form needs a guard: with x_max >= r_max every level above r is
             # reachable (a suffix min down r), else a sliding window padded past r_max
             if cfg.fast_regime:
                 reach = np.minimum.accumulate(target[::-1], axis=0)[::-1]
+                lowest = reach[0]
             else:
                 reach = np.lib.stride_tricks.sliding_window_view(
                     np.concatenate([target, pad]), cfg.x_max + 1, axis=0).min(axis=2)
+                lowest = target.min(axis=0)
+            # the threshold is the smallest level that ties with the minimum of target
+            thresholds[T][t] = np.argmax(target <= lowest + TIE_TOL, axis=0)
             values[T][t] = reach - level_cost - cfg.c_f
             if not np.all(np.isfinite(values[T][t])):
                 r, ip = np.argwhere(~np.isfinite(values[T][t]))[0]

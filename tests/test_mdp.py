@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evcharge.config import preset
 from evcharge.mdp import (
+    MWH_PER_KWH,
+    TIE_TOL,
     MdpConfig,
     TransitionBand,
     _post_decision,
@@ -206,6 +209,25 @@ class TestSolve:
         sol = solve(cfg, RiskSchedule.homogeneous(0.7, 0.85, 3), desk_pm, desk_grid)
         sol.values[1, 5, 10] += 1e-6
         assert bellman_residual(sol) == pytest.approx(1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("x_max", [12, 3], ids=["fast", "slow"])
+    def test_threshold_is_the_smallest_tied_level(self, x_max):
+        # desk preset, T = 2, beta = (1, 0.98): at t = 0, p = 40 the target
+        # r~ p + post(r~) is flat within 5e-17 over r~ = 0..4, so the threshold
+        # would be decided by rounding without the tie tolerance
+        cfg = preset("desk_scale")
+        grid = cfg.build_grid()
+        sol = solve(replace(cfg.mdp, x_max=x_max, horizon=2),
+                    RiskSchedule.homogeneous(1.0, 0.98, 2), cfg.pm, grid)
+        target = (np.arange(cfg.mdp.r_max + 1)[None, :, None] * grid.points * MWH_PER_KWH
+                  + sol.post_values)
+        lowest = target.min(axis=1, keepdims=True)
+        tied = target <= lowest + TIE_TOL
+        np.testing.assert_array_equal(sol.thresholds, np.argmax(tied, axis=1))
+        if x_max == 12:
+            ip = int(grid.nearest_index(40.0))
+            assert np.ptp(target[0, :5, ip]) < 5e-17
+            assert sol.thresholds[0, ip] == 0
 
     def test_values_nondecreasing_in_risk_aversion(self, desk_pm, desk_grid):
         cfg = desk_cfg(horizon=3)

@@ -55,6 +55,9 @@ def test_identity_digest():
     names = [(kind, name) for kind, name, _ in lines]
     assert len(set(names)) == len(names)
     assert sum(kind == "family" for kind, _ in names) == 14
+    assert sum(kind == "thresholds" for kind, _ in names) == 14
+    assert ({name for kind, name in names if kind == "thresholds"}
+            == {name for kind, name in names if kind == "family"})
     assert {name for kind, name in names if kind == "csv"} == {
         "solve/thresholds.csv", "solve/values_t0.csv", "verify/structure_report.csv",
         "simulate/metrics.csv", "simulate/trajectories.csv", "pipeline/beta_path.csv",
