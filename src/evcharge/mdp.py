@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .price_model import PriceGrid, PriceModelParams, noise_dist, transition_matrix
-from .risk import RiskParams, RiskSchedule, SortedRows, mean_cvar_rows
+from .risk import RiskParams, RiskSchedule, mean_cvar_rows, mean_cvar_weights
 
 MWH_PER_KWH = 1e-3  # $/MWh -> $/kWh
 
@@ -109,9 +109,10 @@ class MdpSolution:
 
     values[t, r, ip] is V_{t,T}(r, grid[ip]); post_values[t, r~, ip] the
     post-decision value at t < T; thresholds[t, ip] the smallest post-decision
-    level within TIE_TOL of the minimum.  fallback_rows counts the post-decision entries that the
-    sort-based mean_cvar_rows scored in place of the linear kernel (see
-    _post_decision); it is 0 when V is nondecreasing in price throughout.
+    level whose value is within TIE_TOL of the minimum.  fallback_rows counts
+    the post-decision entries that the sort-based mean_cvar_rows scored in
+    place of the linear kernel (see _post_decision); it is 0 when V is
+    nondecreasing in price throughout.
     """
 
     cfg: MdpConfig
@@ -127,8 +128,10 @@ def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
     """Boundary condition: risk of the inconvenience compensation paid one
     period after the customer returns.  Shape (r_max+1, n_p).
 
-    The compensation rates per (grid price, next-price outcome), sorted, depend
-    on the horizon and gamma_Y but not on beta_T, so the grid holds them."""
+    The compensation rates gamma[ip, k] per (grid price, next-price outcome)
+    rise with k, as gamma_Y is nondecreasing and the noise support ascends, so
+    the transitions' linear kernel scores every row (a falling row sends them
+    all to mean_cvar_rows).  The grid holds what no beta_T changes."""
     T = cfg.horizon
     tables = grid.tables(pm)
     key = ("terminal", T, cfg.gamma_y_kind, cfg.gamma_y_cap)
@@ -138,58 +141,61 @@ def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
         y_support = psi.support - pm.seasonality(T + 1)
         # compensation rate per next-period outcome, one row per current price
         gamma = cfg.gamma_y((grid.points[:, None] * pm.decay + y_support) * MWH_PER_KWH)
-        tables[key] = SortedRows.of(gamma, psi.probs)
-    rho_gamma = tables[key].mean_cvar(beta_T)  # (n_p,)
+        ascending = bool(np.all(np.diff(gamma, axis=1) >= 0.0))
+        tables[key] = gamma, psi.probs, np.cumsum(psi.probs), ascending
+    gamma, probs, cum, ascending = tables[key]
+    if ascending:
+        rho_gamma = gamma @ mean_cvar_weights(probs, cum, beta_T)  # (n_p,)
+    else:
+        rho_gamma = mean_cvar_rows(gamma, probs, beta_T)
     h = (cfg.benchmark(T) - np.arange(cfg.r_max + 1)).astype(float)
     return cfg.compensation(h[:, None], rho_gamma[None, :])
 
 
 @dataclass(frozen=True)
 class TransitionBand:
-    """A price transition matrix P_t in band form: its nonzero entries in
+    """An n x n price transition matrix P_t in band form: its nonzero entries in
     row-major order, with the row cumulative sums the mean-CVaR kernel reads."""
 
+    n: int              # grid size; P_t is n x n
     flat: np.ndarray    # flat indices i * n + j of the nonzero P_t[i, j], ascending
     probs: np.ndarray   # P_t at those entries
     cum: np.ndarray     # np.cumsum(P_t, axis=1) at those entries
-    totals: np.ndarray  # (n,) row sums of P_t
 
     @classmethod
     def of(cls, trans: np.ndarray) -> "TransitionBand":
-        cum = np.cumsum(trans, axis=1)
         flat = np.flatnonzero(trans)
-        return cls(flat, trans.ravel()[flat], cum.ravel()[flat], cum[:, -1].copy())
+        return cls(len(trans), flat, trans.ravel()[flat],
+                   np.cumsum(trans, axis=1).ravel()[flat])
 
     def kernel(self, rp: RiskParams) -> np.ndarray:
         """Dense linear form K_t of mean_cvar_rows, 0 wherever P_t is: values @ K_t[i]
         is the mean-CVaR under P_t[i] of each row of values nondecreasing in price."""
-        n = len(self.totals)
-        k = np.zeros(n * n)
-        tail = np.clip(self.cum - rp.alpha, 0.0, self.probs) / (1.0 - rp.alpha)
-        k[self.flat] = (1.0 - rp.lam) * self.probs + rp.lam * tail
-        return k.reshape(n, n)
+        k = np.zeros(self.n * self.n)
+        k[self.flat] = mean_cvar_weights(self.probs, self.cum, rp)
+        return k.reshape(self.n, self.n)
 
 
 def _post_decision(v_next: np.ndarray, band: TransitionBand, kernel: np.ndarray,
-                   short: np.ndarray, rp: RiskParams) -> tuple[np.ndarray, int]:
+                   rp: RiskParams) -> tuple[np.ndarray, int]:
     """post[r~, ip], the mean-CVaR of V_{t+1}(r~, P_{t+1}) given P_t = grid[ip],
     and the number of entries the sort-based fallback scored.
 
     V_{t+1}(r~, .) is nondecreasing in price, so every row takes its tail at
     the top of the grid and one product with the linear kernel scores all
     states.  Rows that fall more than GRID_ORDER_TOL below their running
-    maximum, and prices whose row is short of alpha, are scored per price by
-    mean_cvar_rows on the row's support in the band instead."""
+    maximum are scored at every price by mean_cvar_rows on the row's support
+    in the band instead."""
     n_p = v_next.shape[1]
     post = v_next @ kernel.T
-    falls = (np.maximum.accumulate(v_next, axis=1) - v_next > GRID_ORDER_TOL).any(axis=1)
-    redo = falls[:, None] | short[None, :]
-    for ip in np.flatnonzero(redo.any(axis=0)):
-        rows = np.flatnonzero(redo[:, ip])
-        lo, hi = np.searchsorted(band.flat, [ip * n_p, (ip + 1) * n_p])
-        keep = band.flat[lo:hi] - ip * n_p
-        post[rows, ip] = mean_cvar_rows(v_next[np.ix_(rows, keep)], band.probs[lo:hi], rp)
-    return post, int(redo.sum())
+    rows = np.flatnonzero(
+        (np.maximum.accumulate(v_next, axis=1) - v_next > GRID_ORDER_TOL).any(axis=1))
+    if rows.size:
+        for ip in range(n_p):
+            lo, hi = np.searchsorted(band.flat, [ip * n_p, (ip + 1) * n_p])
+            keep = band.flat[lo:hi] - ip * n_p
+            post[rows, ip] = mean_cvar_rows(v_next[np.ix_(rows, keep)], band.probs[lo:hi], rp)
+    return post, rows.size * n_p
 
 
 def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
@@ -202,10 +208,10 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
                    horizons) -> dict[int, MdpSolution]:
     """Risk-averse backward induction at every horizon in one sweep over
     t = max(horizons)-1..0; horizon T steps with beta[0..T-1] and ends with
-    beta[T].  Each t builds K_t and the short-row mask once and steps the
-    table of every horizon T > t with them.  What no beta changes the grid
-    holds (see PriceGrid.tables): each phase's P_t as a TransitionBand and
-    each horizon's sorted terminal compensation rates (see terminal_values)."""
+    beta[T].  Each t builds K_t once and steps the table of every horizon
+    T > t with it.  What no beta changes the grid holds (see
+    PriceGrid.tables): each phase's P_t as a TransitionBand and each horizon's
+    terminal compensation rates (see terminal_values)."""
     horizons = sorted({int(T) for T in horizons})
     if beta.horizon != horizons[-1]:
         raise ValueError(f"risk schedule length {beta.horizon + 1} does not match "
@@ -231,12 +237,10 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
         if ("transition", phase) not in tables:
             tables["transition", phase] = TransitionBand.of(transition_matrix(phase, pm, grid))
         band = tables["transition", phase]
-        # rows of P_t whose mass never passes alpha leave the kernel's tail incomplete
-        short = (beta[t].lam > 0.0) & (band.totals <= beta[t].alpha)
         kernel = band.kernel(beta[t])
         # one table at a time: stacked, a step's arrays outgrow the cache (measured slower)
         for T in [h for h in horizons if h > t]:
-            post, n_fallback = _post_decision(values[T][t + 1], band, kernel, short, beta[t])
+            post, n_fallback = _post_decision(values[T][t + 1], band, kernel, beta[t])
             post_values[T][t] = post
             fallback_rows[T] += n_fallback
             target = level_cost + post

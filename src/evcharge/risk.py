@@ -1,10 +1,11 @@
 """Exact mean-CVaR on finite discrete distributions, and risk schedules.
 
-One row-wise kernel, :class:`SortedRows`, computes every CVaR: it sorts each
-row and splits the atom at the quantile proportionally, which equals the
-Rockafellar-Uryasev infimum exactly and needs no solver.  Its sorted form does
-not depend on (lam, alpha), so rows scored at many risk parameters are sorted
-once; :func:`mean_cvar_rows` is its one-shot call.
+Two kernels compute it.  :func:`mean_cvar_weights` is its linear form for
+outcomes already in ascending order: one weight vector per distribution, so
+the mean-CVaR of every such row is a dot product.  :func:`mean_cvar_rows`
+takes rows in any order: it sorts each row and splits the atom at the
+quantile proportionally.  Both equal the Rockafellar-Uryasev infimum exactly
+and need no solver.
 """
 
 from __future__ import annotations
@@ -51,47 +52,32 @@ class RiskSchedule:
         return self.per_period[t]
 
 
-@dataclass(frozen=True)
-class SortedRows:
-    """Outcome rows against one shared distribution, prepared for the mean-CVaR
-    at any (lam, alpha): the row means, each row in ascending order, and its
-    cumulative probability and value * probability sums.
-
-    Built once, it leaves each (lam, alpha) only the quantile index and the
-    atom split."""
-
-    mean: np.ndarray    # (n_rows,)
-    values: np.ndarray  # (n_rows, n_outcomes), each row ascending
-    cum: np.ndarray     # cumulative probability along each sorted row
-    vw_cum: np.ndarray  # cumulative value * probability along each sorted row
-
-    @classmethod
-    def of(cls, values: np.ndarray, probs: np.ndarray) -> "SortedRows":
-        order = np.argsort(values, axis=1, kind="stable")
-        v = np.take_along_axis(values, order, axis=1)
-        w = probs[order]
-        return cls(values @ probs, v, np.cumsum(w, axis=1), np.cumsum(v * w, axis=1))
-
-    def mean_cvar(self, rp: RiskParams) -> np.ndarray:
-        """Row-wise (1 - lam) mean + lam CVaR_alpha; CVaR averages the worst
-        (1 - alpha) mass of each row, splitting the atom at the quantile
-        proportionally."""
-        if rp.lam == 0.0:
-            return self.mean
-        cum, v = self.cum, self.values
-        rows = np.arange(v.shape[0])
-        j = np.argmax(cum > rp.alpha, axis=1)
-        # argmax returns 0 when no entry exceeds alpha (rounding at cum[-1]); fall
-        # back to the last atom in that case
-        j = np.where(cum[rows, -1] > rp.alpha, j, v.shape[1] - 1)
-        upper = self.vw_cum[:, -1] - self.vw_cum[rows, j]
-        cvar = (upper + v[rows, j] * (cum[rows, j] - rp.alpha)) / (1.0 - rp.alpha)
-        return (1.0 - rp.lam) * self.mean + rp.lam * cvar
+def mean_cvar_weights(probs: np.ndarray, cum: np.ndarray, rp: RiskParams) -> np.ndarray:
+    """Weights w with values @ w the (1 - lam) mean + lam CVaR_alpha of outcomes
+    in ascending order with probabilities probs and cumulative sums cum: the
+    worst (1 - alpha) mass is the part of each atom above alpha in cum."""
+    tail = np.clip(cum - rp.alpha, 0.0, probs) / (1.0 - rp.alpha)
+    return (1.0 - rp.lam) * probs + rp.lam * tail
 
 
 def mean_cvar_rows(values: np.ndarray, probs: np.ndarray, rp: RiskParams) -> np.ndarray:
-    """Row-wise mean-CVaR: values is (n_rows, n_outcomes) against a shared
-    outcome distribution probs; the one-shot call of :class:`SortedRows`."""
+    """Row-wise (1 - lam) mean + lam CVaR_alpha of values (n_rows, n_outcomes)
+    against a shared outcome distribution probs, the rows in any order; CVaR
+    averages the worst (1 - alpha) mass of each row, splitting the atom at the
+    quantile proportionally."""
+    mean = values @ probs
     if rp.lam == 0.0:
-        return values @ probs
-    return SortedRows.of(values, probs).mean_cvar(rp)
+        return mean
+    order = np.argsort(values, axis=1, kind="stable")
+    v = np.take_along_axis(values, order, axis=1)
+    w = probs[order]
+    cum = np.cumsum(w, axis=1)
+    rows = np.arange(v.shape[0])
+    j = np.argmax(cum > rp.alpha, axis=1)
+    # argmax returns 0 when no entry exceeds alpha (rounding at cum[-1]); fall
+    # back to the last atom in that case
+    j = np.where(cum[rows, -1] > rp.alpha, j, v.shape[1] - 1)
+    vw_cum = np.cumsum(v * w, axis=1)
+    upper = vw_cum[:, -1] - vw_cum[rows, j]
+    cvar = (upper + v[rows, j] * (cum[rows, j] - rp.alpha)) / (1.0 - rp.alpha)
+    return (1.0 - rp.lam) * mean + rp.lam * cvar

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evcharge import mdp
 from evcharge.config import preset
 from evcharge.mdp import (
     MWH_PER_KWH,
@@ -21,12 +22,13 @@ from evcharge.mdp import (
     verify_structure,
 )
 from evcharge.policy_eval import ThresholdPolicyFamily
-from evcharge.price_model import PriceGrid, transition_matrix
+from evcharge.price_model import PriceGrid, build_grid, noise_dist, transition_matrix
 from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_rows
 
 from conftest import DESK_PM, MICRO_PM, desk_cfg, micro_cfg
 from oracles import (
     bellman_residual_loop,
+    cvar_grid_search,
     dense_mean_cvar_kernel,
     enumerate_policies_value,
     greedy_from_tables,
@@ -44,11 +46,19 @@ def sort_path_post(v_next, trans, rp):
 
 
 def kernel_step(grid, t, rp):
-    """(P_t, its band, K_t, mask of the rows of P_t whose mass never passes
-    alpha) on the desk price model, as the solver builds them."""
+    """(P_t, its band, K_t) on the desk price model, as the solver builds them."""
     trans = transition_matrix(t, DESK_PM, grid)
     band = TransitionBand.of(trans)
-    return trans, band, band.kernel(rp), (rp.lam > 0.0) & (band.totals <= rp.alpha)
+    return trans, band, band.kernel(rp)
+
+
+def compensation_rates(cfg, pm, grid):
+    """gamma_Y per (grid price, next-price outcome) at the end of horizon
+    cfg.horizon, with the noise probabilities of that period."""
+    T = cfg.horizon
+    psi = noise_dist(T, pm)
+    y_support = psi.support - pm.seasonality(T + 1)
+    return cfg.gamma_y((grid.points[:, None] * pm.decay + y_support) * MWH_PER_KWH), psi.probs
 
 
 def random_schedule(rng, horizon):
@@ -131,6 +141,44 @@ class TestTerminal:
         cfg = micro_cfg()
         v = terminal_values(cfg, RiskParams(0.3, 0.7), MICRO_PM, micro_grid)
         assert v.shape == (cfg.r_max + 1, len(micro_grid))
+
+    @pytest.mark.parametrize("name", ["desk_scale", "full_scale"])
+    @pytest.mark.parametrize("kind", [{}, dict(gamma_y_kind="linear-capped", gamma_y_cap=0.05)],
+                             ids=["softplus", "capped"])
+    def test_linear_kernel_matches_sort_path_and_oracle(self, monkeypatch, name, kind):
+        # every terminal row of both presets ascends, so the linear kernel scores
+        # them all; it agrees with the sort path, and with the grid-search
+        # oracle at every 8th price (the oracle is slow)
+        cfg = preset(name)
+        grid = cfg.build_grid()
+        monkeypatch.setattr(mdp, "mean_cvar_rows", None)  # the linear path only
+        for T in cfg.tau.horizons:
+            cfg_T = replace(cfg.mdp, horizon=T, **kind)
+            gamma, probs = compensation_rates(cfg_T, cfg.pm, grid)
+            h = (cfg_T.benchmark(T) - np.arange(cfg_T.r_max + 1)).astype(float)[:, None]
+            for alpha in (0.05, 0.9, 0.995):
+                cvar = np.array([cvar_grid_search(row, probs, alpha) for row in gamma[::8]])
+                for lam in (0.0, 0.3, 1.0):
+                    rp = RiskParams(lam, alpha)
+                    got = terminal_values(cfg_T, rp, cfg.pm, grid)
+                    sort_path = cfg_T.compensation(h, mean_cvar_rows(gamma, probs, rp))
+                    np.testing.assert_allclose(got, sort_path, rtol=0, atol=1e-12)
+                    oracle = (1.0 - lam) * (gamma[::8] @ probs) + lam * cvar
+                    np.testing.assert_allclose(got[:, ::8], cfg_T.compensation(h, oracle),
+                                               rtol=0, atol=1e-12)
+
+    def test_falling_rates_take_the_sort_path(self, monkeypatch):
+        # compensation falling with the next price breaks the linear kernel's
+        # premise, so every row is scored by mean_cvar_rows
+        monkeypatch.setattr(mdp, "softplus", lambda y: np.logaddexp(0.0, -y))
+        grid = build_grid(DESK_PM, span=20)  # its own grid: it holds the falling rates
+        cfg = desk_cfg(horizon=3)
+        gamma, probs = compensation_rates(cfg, DESK_PM, grid)
+        assert np.all(np.diff(gamma, axis=1) < 0.0)
+        h = (cfg.benchmark(3) - np.arange(cfg.r_max + 1)).astype(float)[:, None]
+        for rp in (RiskParams(0.0, 0.5), RiskParams(0.3, 0.9), RiskParams(1.0, 0.995)):
+            want = cfg.compensation(h, mean_cvar_rows(gamma, probs, rp))
+            assert terminal_values(cfg, rp, DESK_PM, grid).tobytes() == want.tobytes()
 
 
 class TestSolve:
@@ -330,7 +378,7 @@ class TestKernelStep:
     def test_kernel_step_matches_sort_path(self, desk_grid, shape, lam, alpha, t, seed):
         rng = np.random.default_rng(seed)
         rp = RiskParams(lam, alpha)
-        trans, band, kernel, short = kernel_step(desk_grid, t, rp)
+        trans, band, kernel = kernel_step(desk_grid, t, rp)
         n_p = len(desk_grid)
         # nondecreasing rows with flat stretches, where noise makes tiny falls
         v_next = np.cumsum(rng.exponential(0.05, (6, n_p)) * (rng.random((6, n_p)) < 0.5), axis=1)
@@ -341,23 +389,12 @@ class TestKernelStep:
             v_next[r, ip:] -= rng.choice([1e-13, 1e-12, 2e-12, 1e-3, 1.0])
         elif shape == "random":
             v_next = rng.normal(0.0, 1.0, (6, n_p))
-        post, n_fallback = _post_decision(v_next, band, kernel, short, rp)
+        post, n_fallback = _post_decision(v_next, band, kernel, rp)
         np.testing.assert_allclose(post, sort_path_post(v_next, trans, rp), rtol=0, atol=1e-12)
         # a row falls when it drops more than 1e-12 below its running maximum
         falls = any(max(row[:i + 1]) - row[i] > 1e-12
                     for row in v_next for i in range(len(row)))
         assert (n_fallback > 0) == falls
-
-    def test_short_rows_take_the_sort_path(self, desk_grid):
-        rp = RiskParams(0.6, 0.8)
-        trans, band, kernel, _ = kernel_step(desk_grid, 0, rp)
-        v_next = np.cumsum(np.random.default_rng(1).exponential(0.05, (6, len(desk_grid))), axis=1)
-        short = np.zeros(len(desk_grid), dtype=bool)
-        short[[3, 17]] = True
-        post, n_fallback = _post_decision(v_next, band, kernel, short, rp)
-        want = sort_path_post(v_next, trans, rp)
-        assert n_fallback == 2 * v_next.shape[0]
-        np.testing.assert_allclose(post[:, short], want[:, short], rtol=0, atol=1e-14)
 
     def test_fallback_on_falling_terminal_rows(self, desk_pm, desk_grid):
         # r0 + T x_max < r_max, so charges above the benchmark carry a negative
@@ -396,6 +433,6 @@ class TestTransitionBand:
         kernel = band.kernel(rp)
         want = dense_mean_cvar_kernel(trans, cum, lam, alpha)
         assert kernel.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(band.totals, cum[:, -1])
+        assert band.n == n
         np.testing.assert_array_equal(band.flat, np.flatnonzero(trans))
         np.testing.assert_array_equal(band.probs, trans[trans > 0])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evcharge.risk import RiskParams, RiskSchedule, SortedRows, mean_cvar_rows
+from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_rows, mean_cvar_weights
 
 from conftest import random_dist
 from oracles import cvar_grid_search, mean_cvar_grid_search
@@ -140,8 +140,8 @@ def test_translation_invariance_property(values, lam, alpha, shift):
 
 
 def argsort_mean_cvar(values, probs, rp):
-    """Mean-CVaR in one pass that sorts and splits: the reference that the
-    prepared form must equal bit for bit."""
+    """Mean-CVaR in one pass that sorts and splits: the reference that
+    mean_cvar_rows must equal bit for bit."""
     mean = values @ probs
     if rp.lam == 0.0:
         return mean
@@ -168,9 +168,11 @@ def argsort_mean_cvar(values, probs, rp):
     alphas=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
 )
 @settings(max_examples=300, deadline=None)
-def test_sorted_rows_equal_the_argsort_path(seed, n_rows, n_out, ties, ascending, lam, alphas):
-    # rows prepared once equal a one-pass sort and split at every alpha, bit
-    # for bit, whether the rows come ascending, tied or out of order
+def test_mean_cvar_rows_equal_the_argsort_path(seed, n_rows, n_out, ties, ascending, lam,
+                                               alphas):
+    # the sort-based kernel equals a one-pass sort and split at every alpha,
+    # bit for bit, whether the rows come ascending, tied or out of order; on
+    # ascending rows the linear weights agree with it
     rng = np.random.default_rng(seed)
     values = (rng.integers(-3, 4, (n_rows, n_out)).astype(float) if ties
               else rng.normal(0.0, 5.0, (n_rows, n_out)))
@@ -184,13 +186,13 @@ def test_sorted_rows_equal_the_argsort_path(seed, n_rows, n_out, ties, ascending
     probs[rng.random(n_out) < 0.2] = 0.0  # atoms of zero mass
     probs[rng.integers(n_out)] += 0.1
     probs /= probs.sum()
-    prepared = SortedRows.of(values, probs)
-    assert np.all(np.diff(prepared.values, axis=1) >= 0.0)
     for alpha in alphas:
         rp = RiskParams(lam, alpha)
-        got = prepared.mean_cvar(rp)
+        got = mean_cvar_rows(values, probs, rp)
         np.testing.assert_array_equal(got, argsort_mean_cvar(values, probs, rp))
-        np.testing.assert_array_equal(mean_cvar_rows(values, probs, rp), got)
+        if ascending:
+            linear = values @ mean_cvar_weights(probs, np.cumsum(probs), rp)
+            np.testing.assert_allclose(linear, got, rtol=0, atol=1e-12)
         for i in range(n_rows):
             assert got[i] == pytest.approx(mean_cvar_grid_search(values[i], probs, rp),
                                            abs=1e-12)
