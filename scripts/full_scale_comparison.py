@@ -5,7 +5,7 @@ continuous-charging default, on the large price grid with 10^5 paths.
 
 All six policies are scored on one Scenario of tau and price paths, so they
 see the same draws.  Writes policy_comparison.csv to the output directory.
-With the default 10^5 paths a run took 3.0-3.3 s wall on a 2-core Intel Xeon
+With the default 10^5 paths a run took 2.0-2.1 s wall on a 2-core Intel Xeon
 box (Python 3.11, numpy 2.4, one BLAS thread); there a full-scale
 solve_family takes about 0.15 s once the grid holds its tables, and about
 0.2 s for the first family on a fresh grid.

@@ -8,9 +8,13 @@ horizon of one ``solve_family``: both presets at five betas, one family with
 x_max < r_max per preset, and one linear-capped family per preset; the
 ``thresholds`` line beside it hashes the thresholds alone, so a change that
 keeps every threshold and moves values by rounding shows in ``family`` lines
-only.  A ``csv``
-line hashes one file written by ``solve``, ``verify``, ``simulate
---dump-paths 20``, ``pipeline`` or ``price-check`` on the desk preset.
+only.  A ``score`` line hashes the simulated charges and the four
+``Scenario.score`` floats of one policy (every digested family under its own
+MDP config, the default and the never-charging policy) on a 2*10^4-path
+Scenario of its preset, from the preset's start price and from a price at
+which solved families wait (desk 30, full 57).  A ``csv`` line hashes one
+file written by ``solve``, ``verify``, ``simulate --dump-paths 20``,
+``pipeline`` or ``price-check`` on the desk preset.
 
 The package is imported from PYTHONPATH, so one copy of this script digests
 any checkout; diff the two outputs:
@@ -34,8 +38,11 @@ import numpy as np
 from evcharge.beta_search import solve_family
 from evcharge.cli import main as cli_main
 from evcharge.config import preset
+from evcharge.policy_eval import ContinuousChargePolicy, NeverChargePolicy, Scenario
 
 BETAS = [(0.0, 0.5), (0.3, 0.7), (0.7, 0.9), (1.0, 0.98), (0.5, 0.05)]
+SCORE_PATHS = 20_000
+WAITING_P0 = {"desk_scale": 30.0, "full_scale": 57.0}
 CLI_STEPS = [["solve"], ["verify"], ["simulate", "--dump-paths", "20"], ["pipeline"],
              ["price-check"]]
 
@@ -57,6 +64,13 @@ def thresholds_digest(family) -> str:
     return h.hexdigest()
 
 
+def score_digest(scenario, policy, mcfg, cfg) -> str:
+    h = hashlib.sha256(np.ascontiguousarray(scenario.simulate(policy, mcfg).charges).tobytes())
+    m = scenario.score(policy, mcfg, risk_kind=cfg.risk_kind, delta=cfg.delta)
+    h.update(repr((m.reward, m.reward_se, m.risk, m.risk_se)).encode())
+    return h.hexdigest()
+
+
 def families(cfg):
     """(label, mdp config, lam, alpha) of every family digested on one preset."""
     for lam, alpha in BETAS:
@@ -74,10 +88,19 @@ def main(argv=None) -> int:
     for name in ("desk_scale", "full_scale"):
         cfg = preset(name)
         grid = cfg.build_grid()
+        policies = []
         for label, mcfg, lam, alpha in families(cfg):
             family = solve_family(lam, alpha, mcfg, cfg.pm, grid, cfg.tau.horizons)
             print(f"family {name}:{label} {family_digest(family)}")
             print(f"thresholds {name}:{label} {thresholds_digest(family)}")
+            policies.append((label, family, mcfg))
+        policies += [("default", ContinuousChargePolicy(cfg.mdp), cfg.mdp),
+                     ("never", NeverChargePolicy(), cfg.mdp)]
+        for p0 in (cfg.p0, WAITING_P0[name]):
+            scenario = Scenario.sample(cfg.tau, cfg.pm, p0, SCORE_PATHS, cfg.seed)
+            for label, policy, mcfg in policies:
+                digest = score_digest(scenario, policy, mcfg, cfg)
+                print(f"score {name}:p0={p0:g}:{label} {digest}")
 
     with tempfile.TemporaryDirectory() as tmp:
         for step in CLI_STEPS:

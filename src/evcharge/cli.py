@@ -163,10 +163,11 @@ def cmd_simulate(args) -> int:
 
     if args.dump_paths:
         paths = scenario.simulate(family, cfg.mdp)
+        purchases = np.diff(paths.charges, axis=1)
         _write_csv(os.path.join(cfg.output_dir, "trajectories.csv"),
                    ["path_id", "t", "p", "r", "x"],
                    ((i, t, paths.prices[i, t], int(paths.charges[i, t]),
-                     int(paths.actions[i, t]) if t < tau else 0)
+                     int(purchases[i, t]) if t < tau else 0)
                     for i, tau in enumerate(paths.tau[:args.dump_paths])
                     for t in range(tau + 1)))
     for row in rows:

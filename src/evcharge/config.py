@@ -203,6 +203,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
     grid_span = raw.get("grid_span")
     if grid_span is not None and not _is_integer(grid_span):
         raise ConfigError(f"grid_span must be an integer or null, got {grid_span!r}")
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     cfg = ExperimentConfig(
         pm=pm, mdp=mdp, tau=tau,
         grid_span=grid_span,
@@ -216,7 +219,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
         epsilons=_list(bs, "beta_search", "epsilons", [0.05]),
         sample_lambdas=_list(bs, "beta_search", "sample_lambdas"),
         sample_alphas=_list(bs, "beta_search", "sample_alphas"),
-        output_dir=str(raw.get("output_dir", "out")),
+        output_dir=output_dir,
     )
     for field in ("sample_lambdas", "sample_alphas"):
         if not getattr(cfg, field):

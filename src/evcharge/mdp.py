@@ -110,9 +110,9 @@ class MdpSolution:
     values[t, r, ip] is V_{t,T}(r, grid[ip]); post_values[t, r~, ip] the
     post-decision value at t < T; thresholds[t, ip] the smallest post-decision
     level whose value is within TIE_TOL of the minimum.  fallback_rows counts
-    the post-decision entries that the sort-based mean_cvar_rows scored in
-    place of the linear kernel (see _post_decision); it is 0 when V is
-    nondecreasing in price throughout.
+    the post-decision and terminal entries that the sort-based mean_cvar_rows
+    scored in place of the linear kernel (see _post_decision, terminal_values);
+    it is 0 when V is nondecreasing in price and the terminal rates ascend.
     """
 
     cfg: MdpConfig
@@ -124,9 +124,10 @@ class MdpSolution:
 
 
 def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
-                    grid: PriceGrid) -> np.ndarray:
+                    grid: PriceGrid) -> tuple[np.ndarray, int]:
     """Boundary condition: risk of the inconvenience compensation paid one
-    period after the customer returns.  Shape (r_max+1, n_p).
+    period after the customer returns, shape (r_max+1, n_p), and the number of
+    its entries the sort-based fallback scored: all of them or none.
 
     The compensation rates gamma[ip, k] per (grid price, next-price outcome)
     rise with k, as gamma_Y is nondecreasing and the noise support ascends, so
@@ -149,7 +150,8 @@ def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
     else:
         rho_gamma = mean_cvar_rows(gamma, probs, beta_T)
     h = (cfg.benchmark(T) - np.arange(cfg.r_max + 1)).astype(float)
-    return cfg.compensation(h[:, None], rho_gamma[None, :])
+    values = cfg.compensation(h[:, None], rho_gamma[None, :])
+    return values, 0 if ascending else values.size
 
 
 @dataclass(frozen=True)
@@ -227,9 +229,9 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
     values = {T: np.empty((T + 1, n_r, n_p)) for T in horizons}
     post_values = {T: np.empty((T, n_r, n_p)) for T in horizons}
     thresholds = {T: np.empty((T, n_p), dtype=int) for T in horizons}
-    fallback_rows = dict.fromkeys(horizons, 0)
+    fallback_rows = {}
     for T in horizons:
-        values[T][T] = terminal_values(cfgs[T], beta[T], pm, grid)
+        values[T][T], fallback_rows[T] = terminal_values(cfgs[T], beta[T], pm, grid)
 
     pad = np.full((cfg.x_max, n_p), np.inf)
     for t in range(horizons[-1] - 1, -1, -1):

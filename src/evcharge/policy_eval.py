@@ -1,12 +1,12 @@
 """Monte Carlo evaluation of charging policies over the random reservation
 horizon: practical reward and practical risk with standard errors.
 
-Simulation uses the continuous (undiscretized) price recursion; grid-solved
-threshold policies look up the threshold of the nearest grid price.  A
-Scenario holds every path's tau and prices, drawn before any policy is
-consulted, so the policies scored on one Scenario share common random numbers.
-A path's draws depend only on (seed, path index), so Scenarios with one seed
-share them too.  All paths step together, one period at a time.
+Simulation uses the continuous (undiscretized) price recursion.  A Scenario
+holds every path's tau and prices, drawn before any policy is consulted, so
+the policies scored on one Scenario share common random numbers, as do
+Scenarios with one seed: a path's draws depend only on (seed, path index).
+Every policy is a basestock level per (period, path), as the optimal one is,
+and all paths step together through one charge rule, basestock.
 
 The purchase made at t is priced at P_{t+1}, whereas mdp.solve optimizes the
 cost x P_t, so the simulator scores a cost the solver did not minimize.
@@ -62,6 +62,12 @@ class PracticalMetrics:
     n_paths: int
 
 
+def basestock(level, r, cfg: MdpConfig):
+    """The charge after one period from charge r: up to level, by at most
+    x_max and never past r_max; at or above level the charge holds."""
+    return np.minimum(np.maximum(level, r), np.minimum(r + cfg.x_max, cfg.r_max))
+
+
 class ThresholdPolicyFamily:
     """The optimal policy family: one solved MDP per reservation length, its
     thresholds stacked into one table indexed by (tau, t, grid price), zero
@@ -71,21 +77,18 @@ class ThresholdPolicyFamily:
         self.solutions = dict(solutions)
         self.grid = next(iter(self.solutions.values())).grid
         max_h = max(self.solutions)
-        self.solved = np.zeros(max_h + 1, bool)
-        self.x_max = np.zeros(max_h + 1, int)
         self.table = np.zeros((max_h + 1, max_h, len(self.grid)), int)
         for h, sol in self.solutions.items():
-            self.solved[h] = True
-            self.x_max[h] = sol.cfg.x_max
             self.table[h, :h] = sol.thresholds
 
-    def actions(self, t: int, r: np.ndarray, p: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """Basestock: charge up to the threshold at the nearest grid price, at
-        most x_max per period."""
-        if tau.max() >= len(self.solved) or not self.solved[tau].all():
-            missing = min(set(tau.tolist()) - set(self.solutions))
-            raise ValueError(f"no solved MDP for horizon {missing}")
-        return np.clip(self.table[tau, t, self.grid.nearest_index(p)] - r, 0, self.x_max[tau])
+    def levels(self, tau: np.ndarray, prices: np.ndarray) -> np.ndarray:
+        """(periods, paths) thresholds at each path's horizon, period and
+        nearest grid price, for prices (paths, periods)."""
+        missing = set(np.flatnonzero(np.bincount(tau)).tolist()) - set(self.solutions)
+        if missing:
+            raise ValueError(f"no solved MDP for horizon {min(missing)}")
+        t = np.arange(prices.shape[1])[:, None]
+        return self.table[tau, t, self.grid.nearest_index(prices.T)]
 
 
 class ContinuousChargePolicy:
@@ -94,33 +97,30 @@ class ContinuousChargePolicy:
     def __init__(self, cfg: MdpConfig):
         self.cfg = cfg
 
-    def actions(self, t: int, r: np.ndarray, p: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        return np.minimum(self.cfg.x_max, self.cfg.r_max - r)
+    def levels(self, tau: np.ndarray, prices: np.ndarray) -> int:
+        return self.cfg.r_max
 
 
 class NeverChargePolicy:
-    def actions(self, t: int, r: np.ndarray, p: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        return np.zeros_like(r)
+    def levels(self, tau: np.ndarray, prices: np.ndarray) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
 class PathBatch:
-    """n simulated reservations: tau (n,), prices P_0..P_{K+1} (n, K+2),
-    charges R_0..R_K (n, K+1) and actions x_0..x_{K-1} (n, K), with K the
-    largest horizon of the tau distribution.  Past a path's own tau the prices
-    run on, the charge holds and the actions are 0."""
+    """n simulated reservations: tau (n,), prices P_0..P_{K+1} (n, K+2) and
+    charges R_0..R_K (n, K+1), K the largest horizon of the tau distribution.
+    Past a path's tau the prices run on and the charge holds (purchase 0)."""
 
     tau: np.ndarray
     prices: np.ndarray
     charges: np.ndarray
-    actions: np.ndarray
 
 
 def draw(tau_dist: TauDist, n_paths: int, seed: int):
-    """tau (n_paths,) and the three price draws of sample_paths, each
-    (n_paths, max horizon + 1).  Each of the four comes from its own child
-    stream of SeedSequence(seed), filled path by path, so a path's draws
-    depend only on (seed, path index)."""
+    """tau (n_paths,) and the three price draws of sample_paths, each (n_paths,
+    max horizon + 1), each from its own child stream of SeedSequence(seed)
+    filled path by path: a path's draws depend only on (seed, path index)."""
     tau_rng, normal_rng, jump_u_rng, jump_normal_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4))
     shape = (n_paths, max(tau_dist.horizons) + 1)
@@ -140,7 +140,8 @@ def compensation(paths: PathBatch, cfg: MdpConfig, pm: PriceModelParams) -> np.n
 def practical_reward(paths: PathBatch, cfg: MdpConfig, pm: PriceModelParams) -> np.ndarray:
     """Per-path reward: fees collected minus energy cost minus compensation.
     The purchase made at t is priced at P_{t+1}."""
-    energy_cost = (paths.actions * paths.prices[:, 1:-1]).sum(axis=1) * MWH_PER_KWH
+    purchases = np.diff(paths.charges, axis=1)
+    energy_cost = (purchases * paths.prices[:, 1:-1]).sum(axis=1) * MWH_PER_KWH
     return cfg.c_f * paths.tau - energy_cost - compensation(paths, cfg, pm)
 
 
@@ -193,17 +194,16 @@ class Scenario:
         return cls(tau, sample_paths(p0, pm, *noise), pm, seed)
 
     def simulate(self, policy, cfg: MdpConfig) -> PathBatch:
-        """Every path under policy, all paths one period at a time."""
-        tau, prices = self.tau, self.prices
-        actions = np.zeros((len(tau), prices.shape[1] - 2), dtype=int)
-        r = np.full(len(tau), cfg.r0)
-        for t in range(int(tau.max())):
-            room = np.minimum(cfg.x_max, cfg.r_max - r)
-            actions[:, t] = np.where(t < tau, np.clip(policy.actions(t, r, prices[:, t], tau),
-                                                      0, room), 0)
-            r = r + actions[:, t]
-        charges = cfg.r0 + np.pad(np.cumsum(actions, axis=1), ((0, 0), (1, 0)))
-        return PathBatch(tau, prices, charges, actions)
+        """Every path under policy's basestock levels, 0 from its tau on."""
+        steps = int(self.tau.max())
+        level = np.where(np.arange(steps)[:, None] < self.tau,
+                         policy.levels(self.tau, self.prices[:, :steps]), 0)
+        charges = np.empty((self.prices.shape[1] - 1, len(self.tau)), dtype=int)
+        charges[0] = cfg.r0
+        for t in range(steps):  # one time-major row per period
+            charges[t + 1] = basestock(level[t], charges[t], cfg)
+        charges[steps + 1:] = charges[steps]
+        return PathBatch(self.tau, self.prices, charges.T)
 
     def score(self, policy, cfg: MdpConfig, risk_kind: str = "indicator",
               risk_agg: str = "mean", agg_alpha: float = 0.9,

@@ -18,6 +18,7 @@ from evcharge.policy_eval import (
     Scenario,
     TauDist,
     ThresholdPolicyFamily,
+    basestock,
     estimate,
     practical_risk,
 )
@@ -58,12 +59,13 @@ def test_criterion_1_basestock_exactness(desk_pm, desk_grid):
         cfg = desk_cfg(x_max=x_max, horizon=6)
         r, ip = (a.ravel() for a in np.meshgrid(np.arange(cfg.r_max + 1),
                                                 np.arange(len(desk_grid)), indexing="ij"))
+        prices = np.repeat(desk_grid.points[ip][:, None], 6, axis=1)
         for _ in range(10):
             sol = solve(cfg, random_schedule(rng, 6), desk_pm, desk_grid)
-            family = ThresholdPolicyFamily({6: sol})
+            level = ThresholdPolicyFamily({6: sol}).levels(np.full(len(r), 6), prices)
             for t in range(6):
                 want = [greedy_from_tables(sol, t, int(r_), int(i)) for r_, i in zip(r, ip)]
-                got = family.actions(t, r, desk_grid.points[ip], np.full(len(r), 6))
+                got = basestock(level[t], r, cfg) - r
                 states += len(r)
                 mismatches += int(np.count_nonzero(got != want))
     elapsed = time.time() - start

@@ -92,6 +92,9 @@ BAD_FIELDS = [
     ("mdp", "r0", 1.5, "mdp.r0"),
     ("beta_search", "constraint_grid_n", 2.5, "beta_search.constraint_grid_n"),
     (None, "grid_span", 20.5, "grid_span"),
+    # a non-string output directory wrote the CSVs under ./None or ./[1, 2]
+    (None, "output_dir", None, "output_dir"),
+    (None, "output_dir", [1, 2], "output_dir"),
     # an empty sample list left the pipeline nothing to fit
     ("beta_search", "sample_lambdas", [], "beta_search.sample_lambdas"),
     ("beta_search", "sample_alphas", [], "beta_search.sample_alphas"),

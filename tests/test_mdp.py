@@ -21,7 +21,7 @@ from evcharge.mdp import (
     terminal_values,
     verify_structure,
 )
-from evcharge.policy_eval import ThresholdPolicyFamily
+from evcharge.policy_eval import ThresholdPolicyFamily, basestock
 from evcharge.price_model import PriceGrid, build_grid, noise_dist, transition_matrix
 from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_rows
 
@@ -120,7 +120,7 @@ class TestTerminal:
     def test_no_shortage_is_free(self, micro_grid):
         cfg = micro_cfg()
         beta = RiskParams(0.8, 0.9)
-        assert np.all(terminal_values(cfg, beta, MICRO_PM, micro_grid)[cfg.r_max] == 0.0)
+        assert np.all(terminal_values(cfg, beta, MICRO_PM, micro_grid)[0][cfg.r_max] == 0.0)
 
     def test_known_value_without_market_term(self):
         # gamma_Y clipped to zero and gamma_h = 0: payment is h * p_ref exactly
@@ -128,19 +128,20 @@ class TestTerminal:
                         horizon=16, r0=0, gamma_y_kind="linear-capped",
                         gamma_y_cap=0.0)
         v = terminal_values(cfg, RiskParams(0.5, 0.9), MICRO_PM,
-                            PriceGrid(np.array([35.0])))[40, 0]
+                            PriceGrid(np.array([35.0])))[0][40, 0]
         assert v == pytest.approx(20 * 0.05, abs=1e-12)
 
     def test_risk_aversion_never_cheapens_compensation(self, micro_grid):
         cfg = micro_cfg()
-        rn = terminal_values(cfg, RiskParams(0.0, 0.5), MICRO_PM, micro_grid)
-        averse = terminal_values(cfg, RiskParams(1.0, 0.9), MICRO_PM, micro_grid)
+        rn, _ = terminal_values(cfg, RiskParams(0.0, 0.5), MICRO_PM, micro_grid)
+        averse, _ = terminal_values(cfg, RiskParams(1.0, 0.9), MICRO_PM, micro_grid)
         assert np.all(averse >= rn - 1e-12)
 
     def test_shape(self, micro_grid):
         cfg = micro_cfg()
-        v = terminal_values(cfg, RiskParams(0.3, 0.7), MICRO_PM, micro_grid)
+        v, n_fallback = terminal_values(cfg, RiskParams(0.3, 0.7), MICRO_PM, micro_grid)
         assert v.shape == (cfg.r_max + 1, len(micro_grid))
+        assert n_fallback == 0
 
     @pytest.mark.parametrize("name", ["desk_scale", "full_scale"])
     @pytest.mark.parametrize("kind", [{}, dict(gamma_y_kind="linear-capped", gamma_y_cap=0.05)],
@@ -160,7 +161,8 @@ class TestTerminal:
                 cvar = np.array([cvar_grid_search(row, probs, alpha) for row in gamma[::8]])
                 for lam in (0.0, 0.3, 1.0):
                     rp = RiskParams(lam, alpha)
-                    got = terminal_values(cfg_T, rp, cfg.pm, grid)
+                    got, n_fallback = terminal_values(cfg_T, rp, cfg.pm, grid)
+                    assert n_fallback == 0
                     sort_path = cfg_T.compensation(h, mean_cvar_rows(gamma, probs, rp))
                     np.testing.assert_allclose(got, sort_path, rtol=0, atol=1e-12)
                     oracle = (1.0 - lam) * (gamma[::8] @ probs) + lam * cvar
@@ -169,7 +171,8 @@ class TestTerminal:
 
     def test_falling_rates_take_the_sort_path(self, monkeypatch):
         # compensation falling with the next price breaks the linear kernel's
-        # premise, so every row is scored by mean_cvar_rows
+        # premise, so every row is scored by mean_cvar_rows, and solve counts
+        # every terminal entry among its fallbacks
         monkeypatch.setattr(mdp, "softplus", lambda y: np.logaddexp(0.0, -y))
         grid = build_grid(DESK_PM, span=20)  # its own grid: it holds the falling rates
         cfg = desk_cfg(horizon=3)
@@ -178,7 +181,14 @@ class TestTerminal:
         h = (cfg.benchmark(3) - np.arange(cfg.r_max + 1)).astype(float)[:, None]
         for rp in (RiskParams(0.0, 0.5), RiskParams(0.3, 0.9), RiskParams(1.0, 0.995)):
             want = cfg.compensation(h, mean_cvar_rows(gamma, probs, rp))
-            assert terminal_values(cfg, rp, DESK_PM, grid).tobytes() == want.tobytes()
+            got, n_fallback = terminal_values(cfg, rp, DESK_PM, grid)
+            assert got.tobytes() == want.tobytes()
+            assert n_fallback == got.size
+            sol = solve(cfg, RiskSchedule.homogeneous(rp.lam, rp.alpha, 3), DESK_PM, grid)
+            # plus the post-decision rows that fall below their running maximum
+            post = sum(int((np.maximum.accumulate(v, axis=1) - v > mdp.GRID_ORDER_TOL)
+                           .any(axis=1).sum()) for v in sol.values[1:])
+            assert sol.fallback_rows == got.size + post * len(grid)
 
 
 class TestSolve:
@@ -210,10 +220,11 @@ class TestSolve:
         r, ip = (a.ravel() for a in np.meshgrid(np.arange(cfg.r_max + 1),
                                                 np.arange(0, len(desk_grid), 7), indexing="ij"))
         tau = np.full(len(r), cfg.horizon)
+        prices = np.repeat(desk_grid.points[ip][:, None], cfg.horizon, axis=1)
+        level = family.levels(tau, prices)
         for t in range(cfg.horizon):
             want = [greedy_from_tables(sol, t, int(r_), int(i)) for r_, i in zip(r, ip)]
-            got = family.actions(t, r, desk_grid.points[ip], tau)
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(basestock(level[t], r, cfg) - r, want)
 
     def test_greedy_threshold_formula(self, desk_pm, desk_grid):
         cfg = desk_cfg(x_max=4, horizon=3)
@@ -222,19 +233,21 @@ class TestSolve:
         r = np.arange(cfg.r_max + 1)
         for ip in (0, 5, 20, 40):
             # off the grid point, still nearest to it
-            p = np.full(len(r), desk_grid.points[ip] + 0.4 * desk_grid.step)
+            p = np.full((len(r), 3), desk_grid.points[ip] + 0.4 * desk_grid.step)
             thr = int(sol.thresholds[1, ip])
             want = [min(thr - r_, cfg.x_max) if r_ <= thr else 0 for r_ in r]
-            np.testing.assert_array_equal(family.actions(1, r, p, np.full(len(r), 3)), want)
+            level = family.levels(np.full(len(r), 3), p)[1]
+            np.testing.assert_array_equal(basestock(level, r, cfg) - r, want)
 
     def test_no_action_at_horizon(self, desk_pm, desk_grid):
         sols = {T: solve(desk_cfg(horizon=T), RiskSchedule.homogeneous(0.5, 0.9, T),
                          desk_pm, desk_grid) for T in (2, 3)}
         family = ThresholdPolicyFamily(sols)
         r = np.zeros(len(desk_grid), int)
-        tau = np.full(len(r), 2)
-        assert family.actions(1, r, desk_grid.points, tau).any()
-        assert not family.actions(2, r, desk_grid.points, tau).any()
+        level = family.levels(np.full(len(r), 2), np.repeat(desk_grid.points[:, None], 3, axis=1))
+        cfg = sols[2].cfg
+        assert (basestock(level[1], r, cfg) > r).any()
+        assert not (basestock(level[2], r, cfg) > r).any()
 
     def test_schedule_horizon_mismatch(self, desk_pm, desk_grid):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,6 @@ class TestSimulate:
         paths = small_scenario(50, 3).simulate(ContinuousChargePolicy(cfg), cfg)
         assert np.all(paths.charges[:, -1] == cfg.r_max)  # fast regime: full after one step
         assert np.all(paths.charges[:, 0] == cfg.r0)
-        np.testing.assert_array_equal(np.diff(paths.charges, axis=1), paths.actions)
 
     def test_never_policy_stays_empty(self):
         cfg = desk_cfg()
@@ -70,24 +71,24 @@ class TestSimulate:
 
     def test_infeasible_actions_clipped(self):
         class Greedy:
-            def actions(self, t, r, p, tau):
-                return np.full_like(r, 999)
+            def levels(self, tau, prices):
+                return np.full(prices.T.shape, 999)
 
-        cfg = desk_cfg()
+        cfg = desk_cfg(x_max=5)
         paths = small_scenario(5, 0).simulate(Greedy(), cfg)
-        assert paths.actions.max() <= cfg.x_max
-        assert paths.charges.max() <= cfg.r_max
+        assert np.diff(paths.charges, axis=1).max() == cfg.x_max
+        assert paths.charges.max() == cfg.r_max
 
     def test_no_action_after_tau(self):
         class Greedy:
-            def actions(self, t, r, p, tau):
-                return np.ones_like(r)
+            def levels(self, tau, prices):  # one more each period
+                return np.broadcast_to(np.arange(1, prices.shape[1] + 1)[:, None], prices.T.shape)
 
         cfg = desk_cfg()
         paths = small_scenario(40, 5).simulate(Greedy(), cfg)
         assert set(paths.tau) == {2, 3}
         for i, tau in enumerate(paths.tau):
-            np.testing.assert_array_equal(paths.actions[i], [1] * tau + [0] * (3 - tau))
+            np.testing.assert_array_equal(np.diff(paths.charges[i]), [1] * tau + [0] * (3 - tau))
             assert paths.charges[i, -1] == tau
 
     def test_missing_horizon_rejected(self, desk_pm, desk_grid):
@@ -96,15 +97,16 @@ class TestSimulate:
             small_scenario(20, 0).simulate(fam, desk_cfg())
 
 
-def _desk_policies():
+def _desk_policies(**mdp_changes):
     cfg = preset("desk_scale")
+    cfg = dataclasses.replace(cfg, mdp=dataclasses.replace(cfg.mdp, **mdp_changes))
     family = solve_family(0.5, 0.9, cfg.mdp, cfg.pm, cfg.build_grid(), cfg.tau.horizons)
     return cfg, {"threshold": family, "default": ContinuousChargePolicy(cfg.mdp),
                  "never": NeverChargePolicy()}
 
 
 def _same_batch(a, b):
-    for name in ("tau", "prices", "charges", "actions"):
+    for name in ("tau", "prices", "charges"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -115,24 +117,32 @@ class TestArraySimulator:
         return Scenario.sample(cfg.tau, cfg.pm, p0, n_paths, seed)
 
     def test_matches_path_by_path_reference(self):
-        cfg, policies = _desk_policies()
         n, seed = 300, 17
-        tau, *noise = draw(cfg.tau, n, seed)
-        waited = 0
-        for name, pol in policies.items():
-            paths = self.scenario(cfg, n, seed).simulate(pol, cfg.mdp)
-            ref = simulate_path_by_path(name, cfg.mdp, cfg.pm, self.P0, tau, *noise,
-                                        solutions=policies["threshold"].solutions)
-            np.testing.assert_array_equal(paths.tau, tau)
-            for i, (prices, charges, actions) in enumerate(ref):
-                T = int(paths.tau[i])
-                np.testing.assert_allclose(paths.prices[i, :T + 2], prices,
-                                           rtol=1e-12, atol=1e-12)
-                np.testing.assert_array_equal(paths.charges[i, :T + 1], charges)
-                np.testing.assert_array_equal(paths.actions[i, :T], actions)
-            if name == "threshold":
-                waited = int(np.sum(paths.actions[:, 0] < cfg.mdp.x_max))
-        assert waited > 0  # the threshold family does not just copy Default
+        # the preset's x_max = r_max, where every threshold step charges fully or
+        # not at all, and x_max = 5, where some stop inside the per-period cap
+        for mdp_changes in ({}, {"x_max": 5}):
+            cfg, policies = _desk_policies(**mdp_changes)
+            tau, *noise = draw(cfg.tau, n, seed)
+            for name, pol in policies.items():
+                paths = self.scenario(cfg, n, seed).simulate(pol, cfg.mdp)
+                ref = simulate_path_by_path(name, cfg.mdp, cfg.pm, self.P0, tau, *noise,
+                                            solutions=policies["threshold"].solutions)
+                np.testing.assert_array_equal(paths.tau, tau)
+                for i, (prices, charges, actions) in enumerate(ref):
+                    T = int(paths.tau[i])
+                    np.testing.assert_allclose(paths.prices[i, :T + 2], prices,
+                                               rtol=1e-12, atol=1e-12)
+                    np.testing.assert_array_equal(paths.charges[i, :T + 1], charges)
+                    np.testing.assert_array_equal(np.diff(paths.charges[i, :T + 1]), actions)
+                if name == "threshold":
+                    purchases = np.diff(paths.charges, axis=1)
+                    waited = int(np.sum(purchases[:, 0] < cfg.mdp.x_max))
+                    room = np.minimum(cfg.mdp.x_max, cfg.mdp.r_max - paths.charges[:, :-1])
+                    partial = int(np.sum((purchases > 0) & (purchases < room)))
+            if mdp_changes:
+                assert partial > 0  # a threshold inside the cap stops a charge
+            else:
+                assert waited > 0  # the threshold family does not just copy Default
 
     def test_first_m_paths_equal_m_path_run(self):
         cfg, policies = _desk_policies()
@@ -140,7 +150,7 @@ class TestArraySimulator:
             big = self.scenario(cfg, 500, 9).simulate(pol, cfg.mdp)
             small = self.scenario(cfg, 37, 9).simulate(pol, cfg.mdp)
             _same_batch(small, PathBatch(*(getattr(big, f)[:37] for f in
-                                           ("tau", "prices", "charges", "actions"))))
+                                           ("tau", "prices", "charges"))))
 
     def test_common_random_numbers(self):
         cfg, policies = _desk_policies()
@@ -180,8 +190,7 @@ class TestMetrics:
         # one path, tau = 2, prices in $/MWh, charge 4 then 2
         prices = np.array([[20.0, 30.0, 25.0, 22.0]])
         charges = np.array([[0, 4, 6]])
-        actions = np.array([[4, 2]])
-        return PathBatch(np.array([2]), prices, charges, actions)
+        return PathBatch(np.array([2]), prices, charges)
 
     def test_reward_decomposition_exact(self):
         cfg = MdpConfig(r_max=6, x_max=6, c_f=0.5, p_ref=0.05, gamma_h=0.01,
@@ -209,8 +218,7 @@ class TestMetrics:
                         horizon=2)
         prices = np.array([[20.0, 30.0, 25.0, 22.0]] * 2)
         # 42/60 = 0.70 exactly: counted as a risk event; 43/60 is not
-        paths = PathBatch(np.array([2, 2]), prices, np.array([[0, 40, 42], [0, 40, 43]]),
-                          np.array([[40, 2], [40, 3]]))
+        paths = PathBatch(np.array([2, 2]), prices, np.array([[0, 40, 42], [0, 40, 43]]))
         np.testing.assert_array_equal(
             practical_risk(paths, "indicator", cfg, DESK_PM, delta=0.3), [1.0, 0.0])
 

@@ -58,6 +58,10 @@ def test_identity_digest():
     assert sum(kind == "thresholds" for kind, _ in names) == 14
     assert ({name for kind, name in names if kind == "thresholds"}
             == {name for kind, name in names if kind == "family"})
+    # each preset: 7 families, Default and Never, from 2 start prices
+    assert sum(kind == "score" for kind, _ in names) == 36
+    assert {name.split(":", 2)[2] for kind, name in names if kind == "score"} == {
+        name.split(":", 1)[1] for kind, name in names if kind == "family"} | {"default", "never"}
     assert {name for kind, name in names if kind == "csv"} == {
         "solve/thresholds.csv", "solve/values_t0.csv", "verify/structure_report.csv",
         "simulate/metrics.csv", "simulate/trajectories.csv", "pipeline/beta_path.csv",
