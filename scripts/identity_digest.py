@@ -8,7 +8,9 @@ horizon of one ``solve_family``: both presets at five betas, one family with
 x_max < r_max per preset, and one linear-capped family per preset; the
 ``thresholds`` line beside it hashes the thresholds alone, so a change that
 keeps every threshold and moves values by rounding shows in ``family`` lines
-only.  A ``score`` line hashes the simulated charges and the four
+only.  A ``schedule`` line hashes the same four fields of one ``mdp.solve`` per
+preset under a fixed risk schedule whose lambda and alpha change every period.
+A ``score`` line hashes the simulated charges and the four
 ``Scenario.score`` floats of one policy (every digested family under its own
 MDP config, the default and the never-charging policy) on a 2*10^4-path
 Scenario of its preset, from the preset's start price and from a price at
@@ -35,10 +37,12 @@ import tempfile
 
 import numpy as np
 
+from evcharge import mdp
 from evcharge.beta_search import solve_family
 from evcharge.cli import main as cli_main
 from evcharge.config import preset
 from evcharge.policy_eval import ContinuousChargePolicy, NeverChargePolicy, Scenario
+from evcharge.risk import RiskParams, RiskSchedule
 
 BETAS = [(0.0, 0.5), (0.3, 0.7), (0.7, 0.9), (1.0, 0.98), (0.5, 0.05)]
 SCORE_PATHS = 20_000
@@ -47,14 +51,17 @@ CLI_STEPS = [["solve"], ["verify"], ["simulate", "--dump-paths", "20"], ["pipeli
              ["price-check"]]
 
 
-def family_digest(family) -> str:
+def solutions_digest(solutions) -> str:
     h = hashlib.sha256()
-    for T in sorted(family.solutions):
-        sol = family.solutions[T]
+    for sol in solutions:
         for table in (sol.values, sol.post_values, sol.thresholds):
             h.update(np.ascontiguousarray(table).tobytes())
         h.update(str(sol.fallback_rows).encode())
     return h.hexdigest()
+
+
+def family_digest(family) -> str:
+    return solutions_digest(family.solutions[T] for T in sorted(family.solutions))
 
 
 def thresholds_digest(family) -> str:
@@ -80,6 +87,12 @@ def families(cfg):
     yield "linear-capped:cap=0.05:lam=0.5:alpha=0.9", capped, 0.5, 0.9
 
 
+def schedule(horizon: int) -> RiskSchedule:
+    """lambda cycles through 0, 1/4, .., 1 and alpha through 0.05..0.95, out of step."""
+    return RiskSchedule(tuple(RiskParams((t % 5) / 4, 0.05 + 0.15 * (3 * t % 7))
+                              for t in range(horizon + 1)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -94,6 +107,8 @@ def main(argv=None) -> int:
             print(f"family {name}:{label} {family_digest(family)}")
             print(f"thresholds {name}:{label} {thresholds_digest(family)}")
             policies.append((label, family, mcfg))
+        sol = mdp.solve(cfg.mdp, schedule(cfg.mdp.horizon), cfg.pm, grid)
+        print(f"schedule {name} {solutions_digest([sol])}")
         policies += [("default", ContinuousChargePolicy(cfg.mdp), cfg.mdp),
                      ("never", NeverChargePolicy(), cfg.mdp)]
         for p0 in (cfg.p0, WAITING_P0[name]):

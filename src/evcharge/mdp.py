@@ -113,6 +113,7 @@ class MdpSolution:
     the post-decision and terminal entries that the sort-based mean_cvar_rows
     scored in place of the linear kernel (see _post_decision, terminal_values);
     it is 0 when V is nondecreasing in price and the terminal rates ascend.
+    values and post_values view the one block of their sweep; one solution keeps it alive.
     """
 
     cfg: MdpConfig
@@ -179,25 +180,30 @@ class TransitionBand:
 
 
 def _post_decision(v_next: np.ndarray, band: TransitionBand, kernel: np.ndarray,
-                   rp: RiskParams) -> tuple[np.ndarray, int]:
-    """post[r~, ip], the mean-CVaR of V_{t+1}(r~, P_{t+1}) given P_t = grid[ip],
-    and the number of entries the sort-based fallback scored.
+                   rp: RiskParams, out: np.ndarray) -> int:
+    """Write post[r~, ip], the mean-CVaR of V_{t+1}(r~, P_{t+1}) given P_t = grid[ip],
+    into `out` and return the number of entries the sort-based fallback scored.
 
     V_{t+1}(r~, .) is nondecreasing in price, so every row takes its tail at
     the top of the grid and one product with the linear kernel scores all
     states.  Rows that fall more than GRID_ORDER_TOL below their running
     maximum are scored at every price by mean_cvar_rows on the row's support
-    in the band instead."""
+    in the band instead.  A row falls at most its total dip (the sum of its
+    price steps down) below its running maximum, so only rows whose dip passes
+    half the tolerance (half for rounding) or is NaN take that exact test."""
     n_p = v_next.shape[1]
-    post = v_next @ kernel.T
-    rows = np.flatnonzero(
-        (np.maximum.accumulate(v_next, axis=1) - v_next > GRID_ORDER_TOL).any(axis=1))
+    np.matmul(v_next, kernel.T, out=out)
+    dip = np.minimum(v_next[:, 1:] - v_next[:, :-1], 0.0).sum(axis=1)
+    rows = np.flatnonzero(~(dip >= -GRID_ORDER_TOL / 2))
+    if rows.size:
+        v = v_next[rows]
+        rows = rows[(np.maximum.accumulate(v, axis=1) - v > GRID_ORDER_TOL).any(axis=1)]
     if rows.size:
         for ip in range(n_p):
             lo, hi = np.searchsorted(band.flat, [ip * n_p, (ip + 1) * n_p])
             keep = band.flat[lo:hi] - ip * n_p
-            post[rows, ip] = mean_cvar_rows(v_next[np.ix_(rows, keep)], band.probs[lo:hi], rp)
-    return post, rows.size * n_p
+            out[rows, ip] = mean_cvar_rows(v_next[np.ix_(rows, keep)], band.probs[lo:hi], rp)
+    return rows.size * n_p
 
 
 def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
@@ -226,8 +232,12 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
     n_p = len(grid)
     level_cost = np.arange(n_r, dtype=float)[:, None] * (grid.points * MWH_PER_KWH)
 
-    values = {T: np.empty((T + 1, n_r, n_p)) for T in horizons}
-    post_values = {T: np.empty((T, n_r, n_p)) for T in horizons}
+    # one block per sweep: numpy advises huge pages for it, not for a single table
+    block = np.empty((sum(2 * T + 1 for T in horizons), n_r, n_p))
+    values, post_values, at = {}, {}, 0
+    for T in horizons:
+        values[T], post_values[T] = block[at:at + T + 1], block[at + T + 1:at + 2 * T + 1]
+        at += 2 * T + 1
     thresholds = {T: np.empty((T, n_p), dtype=int) for T in horizons}
     fallback_rows = {}
     for T in horizons:
@@ -242,9 +252,8 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
         kernel = band.kernel(beta[t])
         # one table at a time: stacked, a step's arrays outgrow the cache (measured slower)
         for T in [h for h in horizons if h > t]:
-            post, n_fallback = _post_decision(values[T][t + 1], band, kernel, beta[t])
-            post_values[T][t] = post
-            fallback_rows[T] += n_fallback
+            post = post_values[T][t]
+            fallback_rows[T] += _post_decision(values[T][t + 1], band, kernel, beta[t], post)
             target = level_cost + post
             # V_t(r, p) = min over x of x p - c_f + post(r + x), the exact min of
             # `target` over the reachable levels r..min(r + x_max, r_max), so neither
@@ -259,7 +268,8 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
                 lowest = target.min(axis=0)
             # the threshold is the smallest level that ties with the minimum of target
             thresholds[T][t] = np.argmax(target <= lowest + TIE_TOL, axis=0)
-            values[T][t] = reach - level_cost - cfg.c_f
+            np.subtract(reach, level_cost, out=values[T][t])
+            values[T][t] -= cfg.c_f
             if not np.all(np.isfinite(values[T][t])):
                 r, ip = np.argwhere(~np.isfinite(values[T][t]))[0]
                 raise FloatingPointError(f"non-finite value at T={T}, t={t}, r={r}, "

@@ -197,6 +197,21 @@ def test_solve_family_matches_separate_solves(lam, alpha):
         assert sol.fallback_rows == alone.fallback_rows == 0
 
 
+def test_solve_family_tables_share_no_memory():
+    # the sweep's tables are views into one block; none may overlap another
+    cfg = preset("desk_scale")
+    family = beta_search.solve_family(0.6, 0.8, cfg.mdp, cfg.pm, cfg.build_grid(),
+                                      cfg.tau.horizons)
+    tables = [table for T in sorted(family.solutions)
+              for table in (family.solutions[T].values, family.solutions[T].post_values)]
+    for i, a in enumerate(tables):
+        for b in tables[i + 1:]:
+            assert not np.shares_memory(a, b)
+    before = [table.tobytes() for table in tables]
+    tables[0][...] = np.nan
+    assert all(table.tobytes() == old for table, old in zip(tables[1:], before[1:]))
+
+
 def counting_calls(calls, real):
     def wrapper(t, *args):
         calls.append(t)

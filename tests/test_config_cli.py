@@ -4,14 +4,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evcharge
-from evcharge import policy_eval
-from evcharge.cli import EXIT_CONFIG, EXIT_OK, EXIT_STRUCTURE, main
+from evcharge import mdp, policy_eval
+from evcharge.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_STRUCTURE, main
 from evcharge.config import (
     DESK_SCALE,
     FULL_SCALE,
@@ -225,7 +226,14 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "noise_t0.csv"))
 
     def test_exit_codes_are_distinct(self):
-        assert len({EXIT_OK, EXIT_CONFIG, EXIT_STRUCTURE}) == 3
+        assert len({EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_STRUCTURE}) == 4
+
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mdp, "softplus", lambda y: np.full_like(y, np.inf))
+        with np.errstate(invalid="ignore"):
+            code = main(["solve", "--preset", "desk_scale", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_NUMERIC
+        assert "non-finite value at T=4, t=3" in capsys.readouterr().err
 
     def test_seed_flag_checked_like_config_seed(self, tmp_path, capsys):
         code = main(["simulate", "--preset", "desk_scale", "--seed", "-1",

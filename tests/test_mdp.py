@@ -1,8 +1,9 @@
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evcharge import mdp
@@ -192,6 +193,16 @@ class TestTerminal:
 
 
 class TestSolve:
+    def test_non_finite_value_raises(self, monkeypatch):
+        # infinite compensation rates make the terminal table non-finite; the
+        # first backward step reports where (a fresh grid, as the rates are held)
+        cfg = preset("desk_scale")
+        monkeypatch.setattr(mdp, "softplus", lambda y: np.full_like(y, np.inf))
+        beta = RiskSchedule.homogeneous(0.5, 0.9, cfg.mdp.horizon)
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as exc:
+            solve(cfg.mdp, beta, cfg.pm, cfg.build_grid())
+        assert str(exc.value) == "non-finite value at T=4, t=3, r=0, price index 0"
+
     def test_risk_neutral_matches_plain_dp(self, desk_pm, desk_grid):
         cfg = desk_cfg(horizon=4)
         beta = RiskSchedule.homogeneous(0.0, 0.5, cfg.horizon)
@@ -379,20 +390,36 @@ class TestStructure:
         assert inc.worst_violation > 4.9
 
 
+@pytest.fixture(scope="module")
+def wide_grid():
+    return build_grid(DESK_PM, span=150)  # 301 points: room for 300 price steps
+
+
 class TestKernelStep:
     @given(
-        shape=st.sampled_from(["monotone", "noisy", "step-down", "random"]),
+        shape=st.sampled_from(["monotone", "noisy", "step-down", "random",
+                               "sawtooth", "staircase", "single-step", "nan-tail"]),
         lam=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
         alpha=st.floats(0.01, 0.99),
         t=st.integers(0, DESK_PM.seas_period - 1),
         seed=st.integers(0, 2**32 - 1),
     )
+    # one deterministic row each, below and above the running-maximum line:
+    # dips summing past GRID_ORDER_TOL that recover at every step (no fallback),
+    # 300 dips of 5e-15 that never recover, and one 2e-12 step down (fallback);
+    # a NaN after that step hides it from the dip sum but not from the exact test
+    @example(shape="sawtooth", lam=0.5, alpha=0.9, t=0, seed=0)
+    @example(shape="staircase", lam=0.5, alpha=0.9, t=0, seed=0)
+    @example(shape="single-step", lam=0.5, alpha=0.9, t=0, seed=0)
+    @example(shape="nan-tail", lam=0.5, alpha=0.9, t=0, seed=0)
     @settings(max_examples=150, deadline=None)
-    def test_kernel_step_matches_sort_path(self, desk_grid, shape, lam, alpha, t, seed):
+    def test_kernel_step_matches_sort_path(self, desk_grid, wide_grid, shape, lam, alpha, t,
+                                           seed):
         rng = np.random.default_rng(seed)
         rp = RiskParams(lam, alpha)
-        trans, band, kernel = kernel_step(desk_grid, t, rp)
-        n_p = len(desk_grid)
+        grid = wide_grid if shape == "staircase" else desk_grid
+        trans, band, kernel = kernel_step(grid, t, rp)
+        n_p = len(grid)
         # nondecreasing rows with flat stretches, where noise makes tiny falls
         v_next = np.cumsum(rng.exponential(0.05, (6, n_p)) * (rng.random((6, n_p)) < 0.5), axis=1)
         if shape == "noisy":
@@ -402,12 +429,27 @@ class TestKernelStep:
             v_next[r, ip:] -= rng.choice([1e-13, 1e-12, 2e-12, 1e-3, 1.0])
         elif shape == "random":
             v_next = rng.normal(0.0, 1.0, (6, n_p))
-        post, n_fallback = _post_decision(v_next, band, kernel, rp)
+        elif shape == "sawtooth":
+            v_next[2] = 1.0 - 9e-13 * (np.arange(n_p) % 2)
+        elif shape == "staircase":
+            v_next[2] = 1.0 - 5e-15 * np.arange(n_p)
+        elif shape in ("single-step", "nan-tail"):
+            v_next[2] = 1.0 - 2e-12 * (np.arange(n_p) >= n_p // 2)
+            if shape == "nan-tail":
+                v_next[2, -1] = np.nan
+        post = np.empty((6, n_p))
+        n_fallback = _post_decision(v_next, band, kernel, rp, post)
         np.testing.assert_allclose(post, sort_path_post(v_next, trans, rp), rtol=0, atol=1e-12)
         # a row falls when it drops more than 1e-12 below its running maximum
-        falls = any(max(row[:i + 1]) - row[i] > 1e-12
-                    for row in v_next for i in range(len(row)))
-        assert (n_fallback > 0) == falls
+        falls = sum(any(top - v > 1e-12 for top, v in zip(accumulate(row, max), row))
+                    for row in v_next)
+        assert n_fallback == falls * n_p
+        if shape in ("sawtooth", "staircase", "single-step"):
+            dips = -np.minimum(np.diff(v_next[2]), 0.0).sum()
+            assert dips > mdp.GRID_ORDER_TOL
+            assert falls == (shape != "sawtooth")
+        if shape == "nan-tail":
+            assert falls == 1
 
     def test_fallback_on_falling_terminal_rows(self, desk_pm, desk_grid):
         # r0 + T x_max < r_max, so charges above the benchmark carry a negative

@@ -58,6 +58,7 @@ def test_identity_digest():
     assert sum(kind == "thresholds" for kind, _ in names) == 14
     assert ({name for kind, name in names if kind == "thresholds"}
             == {name for kind, name in names if kind == "family"})
+    assert {name for kind, name in names if kind == "schedule"} == {"desk_scale", "full_scale"}
     # each preset: 7 families, Default and Never, from 2 start prices
     assert sum(kind == "score" for kind, _ in names) == 36
     assert {name.split(":", 2)[2] for kind, name in names if kind == "score"} == {
