@@ -2,20 +2,25 @@
 """Fingerprints of the solver's tables and of every desk CLI output, for
 checking that a change leaves every result bit-identical.
 
-Each output line is ``<kind> <name> <sha256>``.  A ``family`` line hashes the
-``values``, ``post_values``, ``thresholds`` and ``fallback_rows`` of every
-horizon of one ``solve_family``: both presets at five betas, one family with
-x_max < r_max per preset, and one linear-capped family per preset; the
-``thresholds`` line beside it hashes the thresholds alone, so a change that
-keeps every threshold and moves values by rounding shows in ``family`` lines
-only.  A ``schedule`` line hashes the same four fields of one ``mdp.solve`` per
-preset under a fixed risk schedule whose lambda and alpha change every period.
-A ``score`` line hashes the simulated charges and the four
-``Scenario.score`` floats of one policy (every digested family under its own
-MDP config, the default and the never-charging policy) on a 2*10^4-path
-Scenario of its preset, from the preset's start price and from a price at
-which solved families wait (desk 30, full 57).  A ``csv`` line hashes one
-file written by ``solve``, ``verify``, ``simulate --dump-paths 20``,
+Each output line is ``<kind> <name> <sha256>``, except ``cvar`` lines.  A
+``family`` line hashes the ``values``, ``post_values``, ``thresholds`` and
+``fallback_rows`` of every horizon of one ``solve_family``: both presets at
+five betas, one family with x_max < r_max per preset, and one linear-capped
+family per preset; the ``thresholds`` line beside it hashes the thresholds
+alone, so a change that keeps every threshold and moves values by rounding
+shows in ``family`` lines only.  A ``schedule`` line hashes the same four
+fields of one ``mdp.solve`` per preset under a fixed risk schedule whose
+lambda and alpha change every period.  A ``score`` line hashes the simulated
+charges and the four ``Scenario.score`` floats of one policy (every digested
+family under its own MDP config, the default and the never-charging policy)
+on a 2*10^4-path Scenario of its preset, from the preset's start price and
+from a price at which solved families wait (desk 30, full 57).  A ``cvar``
+line per preset holds, in place of a hash, the four ``Scenario.score`` floats
+(reward, its SE, risk, its SE) of the lam=0.7:alpha=0.9 family and then of
+the never-charging policy on the start-price Scenario, comma-separated, with
+the risk the CVaR_0.9 of the compensation: a CVaR that sums in another order
+moves these by rounding only, so compare them by value.  A ``csv`` line hashes
+one file written by ``solve``, ``verify``, ``simulate --dump-paths 20``,
 ``pipeline`` or ``price-check`` on the desk preset.
 
 The package is imported from PYTHONPATH, so one copy of this script digests
@@ -47,6 +52,7 @@ from evcharge.risk import RiskParams, RiskSchedule
 BETAS = [(0.0, 0.5), (0.3, 0.7), (0.7, 0.9), (1.0, 0.98), (0.5, 0.05)]
 SCORE_PATHS = 20_000
 WAITING_P0 = {"desk_scale": 30.0, "full_scale": 57.0}
+CVAR_POLICIES = ("lam=0.7:alpha=0.9", "never")
 CLI_STEPS = [["solve"], ["verify"], ["simulate", "--dump-paths", "20"], ["pipeline"],
              ["price-check"]]
 
@@ -76,6 +82,18 @@ def score_digest(scenario, policy, mcfg, cfg) -> str:
     m = scenario.score(policy, mcfg, risk_kind=cfg.risk_kind, delta=cfg.delta)
     h.update(repr((m.reward, m.reward_se, m.risk, m.risk_se)).encode())
     return h.hexdigest()
+
+
+def cvar_floats(scenario, policies) -> str:
+    """reward, reward_se, risk, risk_se of each CVAR_POLICIES policy scored with
+    the CVaR_0.9 of its compensation, as comma-separated reprs."""
+    floats = []
+    for label, policy, mcfg in policies:
+        if label in CVAR_POLICIES:
+            m = scenario.score(policy, mcfg, risk_kind="compensation", risk_agg="cvar",
+                               agg_alpha=0.9)
+            floats += [m.reward, m.reward_se, m.risk, m.risk_se]
+    return ",".join(map(repr, floats))
 
 
 def families(cfg):
@@ -116,6 +134,8 @@ def main(argv=None) -> int:
             for label, policy, mcfg in policies:
                 digest = score_digest(scenario, policy, mcfg, cfg)
                 print(f"score {name}:p0={p0:g}:{label} {digest}")
+            if p0 == cfg.p0:
+                print(f"cvar {name}:p0={p0:g} {cvar_floats(scenario, policies)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         for step in CLI_STEPS:

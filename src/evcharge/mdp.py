@@ -206,6 +206,13 @@ def _post_decision(v_next: np.ndarray, band: TransitionBand, kernel: np.ndarray,
     return rows.size * n_p
 
 
+def _check_finite(table: np.ndarray, T: int, t: int) -> None:
+    """Raise FloatingPointError at the first non-finite entry of V_{t,T}."""
+    if not np.all(np.isfinite(table)):
+        r, ip = np.argwhere(~np.isfinite(table))[0]
+        raise FloatingPointError(f"non-finite value at T={T}, t={t}, r={r}, price index {ip}")
+
+
 def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
           grid: PriceGrid) -> MdpSolution:
     """Risk-averse backward induction over t = T-1..0."""
@@ -242,6 +249,7 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
     fallback_rows = {}
     for T in horizons:
         values[T][T], fallback_rows[T] = terminal_values(cfgs[T], beta[T], pm, grid)
+        _check_finite(values[T][T], T, T)
 
     pad = np.full((cfg.x_max, n_p), np.inf)
     for t in range(horizons[-1] - 1, -1, -1):
@@ -270,10 +278,7 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
             thresholds[T][t] = np.argmax(target <= lowest + TIE_TOL, axis=0)
             np.subtract(reach, level_cost, out=values[T][t])
             values[T][t] -= cfg.c_f
-            if not np.all(np.isfinite(values[T][t])):
-                r, ip = np.argwhere(~np.isfinite(values[T][t]))[0]
-                raise FloatingPointError(f"non-finite value at T={T}, t={t}, r={r}, "
-                                         f"price index {ip}")
+            _check_finite(values[T][t], T, t)
 
     return {T: MdpSolution(cfgs[T], grid, values[T], post_values[T], thresholds[T],
                            fallback_rows[T]) for T in horizons}

@@ -20,7 +20,7 @@ import numpy as np
 
 from .mdp import MWH_PER_KWH, MdpConfig, MdpSolution
 from .price_model import PriceModelParams, sample_paths
-from .risk import RiskParams, mean_cvar_rows
+from .risk import RiskParams, mean_cvar_weights
 
 RISK_KINDS = ("indicator", "compensation", "shortage")
 RISK_AGGS = ("mean", "cvar")
@@ -162,17 +162,21 @@ def _aggregate(outcomes: np.ndarray, how: str, alpha: float, seed: int) -> tuple
     n = len(outcomes)
     if how == "mean":
         return float(outcomes.mean()), float(outcomes.std(ddof=1) / np.sqrt(n))
-    # sample CVaR across paths with a bootstrap standard error; one replicate
-    # at a time keeps memory at O(n)
-    w = np.full(n, 1.0 / n)
+    # sample CVaR across paths with a bootstrap standard error.  The outcomes are
+    # sorted once; a replicate weighs each sorted outcome by how often its
+    # resample drew that path, so no replicate is sorted and memory stays O(n)
+    order = np.argsort(outcomes, kind="stable")
+    ascending = outcomes[order]
     rp = RiskParams(1.0, alpha)
 
-    def cvar(sample):
-        return float(mean_cvar_rows(sample[None, :], w, rp)[0])
+    def cvar(counts):
+        w = counts[order] / n
+        return float(ascending @ mean_cvar_weights(w, np.cumsum(w), rp))
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007)))
-    reps = np.array([cvar(outcomes[rng.integers(0, n, n)]) for _ in range(100)])
-    return cvar(outcomes), float(reps.std(ddof=1))
+    reps = np.array([cvar(np.bincount(rng.integers(0, n, n), minlength=n))
+                     for _ in range(100)])
+    return cvar(np.ones(n)), float(reps.std(ddof=1))
 
 
 @dataclass(frozen=True)

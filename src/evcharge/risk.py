@@ -1,11 +1,11 @@
 """Exact mean-CVaR on finite discrete distributions, and risk schedules.
 
-Two kernels compute it.  :func:`mean_cvar_weights` is its linear form for
-outcomes already in ascending order: one weight vector per distribution, so
-the mean-CVaR of every such row is a dot product.  :func:`mean_cvar_rows`
-takes rows in any order: it sorts each row and splits the atom at the
-quantile proportionally.  Both equal the Rockafellar-Uryasev infimum exactly
-and need no solver.
+One formula computes it: :func:`mean_cvar_weights`, its linear form for
+outcomes in ascending order, one weight vector per distribution, so the
+mean-CVaR of every such row is a dot product.  It has two entry points: the
+weights themselves, for rows known to ascend, and :func:`mean_cvar_rows`,
+which sorts rows in any order first.  Both equal the Rockafellar-Uryasev
+infimum exactly and need no solver.
 """
 
 from __future__ import annotations
@@ -62,22 +62,11 @@ def mean_cvar_weights(probs: np.ndarray, cum: np.ndarray, rp: RiskParams) -> np.
 
 def mean_cvar_rows(values: np.ndarray, probs: np.ndarray, rp: RiskParams) -> np.ndarray:
     """Row-wise (1 - lam) mean + lam CVaR_alpha of values (n_rows, n_outcomes)
-    against a shared outcome distribution probs, the rows in any order; CVaR
-    averages the worst (1 - alpha) mass of each row, splitting the atom at the
-    quantile proportionally."""
-    mean = values @ probs
+    against a shared outcome distribution probs, the rows in any order: each
+    row is sorted, then scored by mean_cvar_weights of its reordered probs."""
     if rp.lam == 0.0:
-        return mean
+        return values @ probs
     order = np.argsort(values, axis=1, kind="stable")
-    v = np.take_along_axis(values, order, axis=1)
     w = probs[order]
-    cum = np.cumsum(w, axis=1)
-    rows = np.arange(v.shape[0])
-    j = np.argmax(cum > rp.alpha, axis=1)
-    # argmax returns 0 when no entry exceeds alpha (rounding at cum[-1]); fall
-    # back to the last atom in that case
-    j = np.where(cum[rows, -1] > rp.alpha, j, v.shape[1] - 1)
-    vw_cum = np.cumsum(v * w, axis=1)
-    upper = vw_cum[:, -1] - vw_cum[rows, j]
-    cvar = (upper + v[rows, j] * (cum[rows, j] - rp.alpha)) / (1.0 - rp.alpha)
-    return (1.0 - rp.lam) * mean + rp.lam * cvar
+    weights = mean_cvar_weights(w, np.cumsum(w, axis=1), rp)
+    return np.einsum("ij,ij->i", np.take_along_axis(values, order, axis=1), weights)

@@ -36,6 +36,41 @@ def mean_cvar_grid_search(values: np.ndarray, probs: np.ndarray, rp: RiskParams)
     return (1.0 - rp.lam) * mean + rp.lam * cvar_grid_search(values, probs, rp.alpha)
 
 
+def argsort_mean_cvar(values: np.ndarray, probs: np.ndarray, rp: RiskParams) -> np.ndarray:
+    """Row-wise (1 - lam) E + lam CVaR_alpha of values (n_rows, n_outcomes) by
+    sorting each row and splitting the atom at the alpha-quantile: the upper
+    tail's value-probability sum plus the quantile atom's share above alpha."""
+    mean = values @ probs
+    if rp.lam == 0.0:
+        return mean
+    order = np.argsort(values, axis=1, kind="stable")
+    v = np.take_along_axis(values, order, axis=1)
+    w = probs[order]
+    cum = np.cumsum(w, axis=1)
+    rows = np.arange(values.shape[0])
+    j = np.argmax(cum > rp.alpha, axis=1)
+    # argmax returns 0 when no entry exceeds alpha (rounding at cum[-1]); take the
+    # last atom then
+    j = np.where(cum[rows, -1] > rp.alpha, j, values.shape[1] - 1)
+    vw_cum = np.cumsum(v * w, axis=1)
+    upper = vw_cum[:, -1] - vw_cum[rows, j]
+    cvar = (upper + v[rows, j] * (cum[rows, j] - rp.alpha)) / (1.0 - rp.alpha)
+    return (1.0 - rp.lam) * mean + rp.lam * cvar
+
+
+def bootstrap_cvar(outcomes: np.ndarray, alpha: float, seed: int) -> tuple[float, float]:
+    """Sample CVaR_alpha of outcomes and its bootstrap standard error over 100
+    resamples drawn from SeedSequence((seed, 0xB007)), each resample sorted and
+    scored on its own by argsort_mean_cvar."""
+    n = len(outcomes)
+    probs = np.full(n, 1.0 / n)
+    rp = RiskParams(1.0, alpha)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007)))
+    reps = [argsort_mean_cvar(outcomes[None, rng.integers(0, n, n)], probs, rp)[0]
+            for _ in range(100)]
+    return float(argsort_mean_cvar(outcomes[None, :], probs, rp)[0]), float(np.std(reps, ddof=1))
+
+
 def dense_mean_cvar_kernel(trans: np.ndarray, cum: np.ndarray, lam: float,
                            alpha: float) -> np.ndarray:
     """The solver's linear mean-CVaR kernel over the whole dense matrix:

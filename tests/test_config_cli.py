@@ -233,7 +233,7 @@ class TestCli:
         with np.errstate(invalid="ignore"):
             code = main(["solve", "--preset", "desk_scale", "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_NUMERIC
-        assert "non-finite value at T=4, t=3" in capsys.readouterr().err
+        assert "non-finite value at T=4, t=4" in capsys.readouterr().err
 
     def test_seed_flag_checked_like_config_seed(self, tmp_path, capsys):
         code = main(["simulate", "--preset", "desk_scale", "--seed", "-1",

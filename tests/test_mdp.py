@@ -194,14 +194,15 @@ class TestTerminal:
 
 class TestSolve:
     def test_non_finite_value_raises(self, monkeypatch):
-        # infinite compensation rates make the terminal table non-finite; the
-        # first backward step reports where (a fresh grid, as the rates are held)
+        # infinite compensation rates make the terminal table non-finite, and the
+        # check beside terminal_values names it, t = T (a fresh grid, as the rates
+        # are held)
         cfg = preset("desk_scale")
         monkeypatch.setattr(mdp, "softplus", lambda y: np.full_like(y, np.inf))
         beta = RiskSchedule.homogeneous(0.5, 0.9, cfg.mdp.horizon)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as exc:
             solve(cfg.mdp, beta, cfg.pm, cfg.build_grid())
-        assert str(exc.value) == "non-finite value at T=4, t=3, r=0, price index 0"
+        assert str(exc.value) == "non-finite value at T=4, t=4, r=0, price index 0"
 
     def test_risk_neutral_matches_plain_dp(self, desk_pm, desk_grid):
         cfg = desk_cfg(horizon=4)

@@ -20,7 +20,7 @@ from evcharge.policy_eval import (
 )
 
 from conftest import DESK_PM, desk_cfg
-from oracles import simulate_path_by_path
+from oracles import bootstrap_cvar, simulate_path_by_path
 
 
 def small_tau():
@@ -248,13 +248,33 @@ class TestEstimate:
         assert m.risk == 0.0
 
     def test_cvar_aggregation_dominates_mean(self):
+        # Never pays a compensation that varies with the end price (Default pays
+        # none in the fast regime), so the CVaR sits strictly above the mean
         cfg = desk_cfg()
-        mean_m = estimate(ContinuousChargePolicy(cfg), small_tau(), cfg, DESK_PM,
+        mean_m = estimate(NeverChargePolicy(), small_tau(), cfg, DESK_PM,
                           20.0, n_paths=200, seed=4, risk_kind="compensation")
-        cvar_m = estimate(ContinuousChargePolicy(cfg), small_tau(), cfg, DESK_PM,
+        cvar_m = estimate(NeverChargePolicy(), small_tau(), cfg, DESK_PM,
                           20.0, n_paths=200, seed=4, risk_kind="compensation",
                           risk_agg="cvar", agg_alpha=0.9)
-        assert cvar_m.risk >= mean_m.risk - 1e-12
+        assert mean_m.risk > 0.0
+        assert cvar_m.risk > mean_m.risk
+
+    @pytest.mark.parametrize("n_paths", [2, 1000])
+    @pytest.mark.parametrize("alpha", [0.05, 0.9, 0.995])
+    @pytest.mark.parametrize("risk_kind", ["indicator", "compensation"])
+    def test_cvar_bootstrap_matches_sorting_each_resample(self, risk_kind, alpha, n_paths):
+        # the CVaR and its bootstrap SE equal sorting each of the same 100
+        # resamples, on Never's indicator (every outcome ties) and compensation
+        cfg = desk_cfg()
+        scenario = small_scenario(n_paths, 6)
+        m = scenario.score(NeverChargePolicy(), cfg, risk_kind=risk_kind, risk_agg="cvar",
+                           agg_alpha=alpha)
+        outcomes = practical_risk(scenario.simulate(NeverChargePolicy(), cfg), risk_kind, cfg,
+                                  DESK_PM)
+        risk, risk_se = bootstrap_cvar(outcomes, alpha, scenario.seed)
+        assert m.risk == pytest.approx(risk, rel=1e-12, abs=0)
+        # the SE relative to the estimate: tied outcomes give an SE of rounding only
+        assert m.risk_se == pytest.approx(risk_se, rel=0, abs=1e-12 * risk)
 
     def test_unknown_risk_agg_rejected(self):
         cfg = desk_cfg()

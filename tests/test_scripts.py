@@ -51,7 +51,8 @@ def test_identity_digest():
     proc = run_script("identity_digest.py")
     assert proc.returncode == 0, proc.stderr
     lines = [line.split(" ") for line in proc.stdout.splitlines()]
-    assert all(len(parts) == 3 and len(parts[2]) == 64 for parts in lines)
+    assert all(len(parts) == 3 for parts in lines)
+    assert all(len(parts[2]) == 64 for parts in lines if parts[0] != "cvar")
     names = [(kind, name) for kind, name, _ in lines]
     assert len(set(names)) == len(names)
     assert sum(kind == "family" for kind, _ in names) == 14
@@ -63,6 +64,11 @@ def test_identity_digest():
     assert sum(kind == "score" for kind, _ in names) == 36
     assert {name.split(":", 2)[2] for kind, name in names if kind == "score"} == {
         name.split(":", 1)[1] for kind, name in names if kind == "family"} | {"default", "never"}
+    # each preset: the (0.7, 0.9) family's and Never's four score floats
+    cvar = {name: [float(x) for x in value.split(",")] for kind, name, value in lines
+            if kind == "cvar"}
+    assert set(cvar) == {"desk_scale:p0=20", "full_scale:p0=35"}
+    assert all(len(floats) == 8 and floats[6] > 0.0 for floats in cvar.values())
     assert {name for kind, name in names if kind == "csv"} == {
         "solve/thresholds.csv", "solve/values_t0.csv", "verify/structure_report.csv",
         "simulate/metrics.csv", "simulate/trajectories.csv", "pipeline/beta_path.csv",
