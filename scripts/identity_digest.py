@@ -29,6 +29,17 @@ any checkout; diff the two outputs:
     PYTHONPATH=src python3 scripts/identity_digest.py > after.txt
     PYTHONPATH=../parent/src python3 scripts/identity_digest.py > before.txt
     diff before.txt after.txt
+
+A moved ``family`` or ``schedule`` line says only that its tables changed.
+``--save DIR`` also writes the tables of each such line to ``DIR/<line>.npz``
+(about 250 MB in all); ``--compare BEFORE AFTER`` reads two such directories
+and prints, per line saved in both, the largest |change| of the values and of
+the post-decision values over every horizon, and whether the thresholds and
+``fallback_rows`` are equal:
+
+    PYTHONPATH=../parent/src python3 scripts/identity_digest.py --save before > before.txt
+    PYTHONPATH=src python3 scripts/identity_digest.py --save after > after.txt
+    PYTHONPATH=src python3 scripts/identity_digest.py --compare before after
 """
 
 import argparse
@@ -53,6 +64,7 @@ BETAS = [(0.0, 0.5), (0.3, 0.7), (0.7, 0.9), (1.0, 0.98), (0.5, 0.05)]
 SCORE_PATHS = 20_000
 WAITING_P0 = {"desk_scale": 30.0, "full_scale": 57.0}
 CVAR_POLICIES = ("lam=0.7:alpha=0.9", "never")
+TABLE_FIELDS = ("values", "post_values", "thresholds", "fallback_rows")
 CLI_STEPS = [["solve"], ["verify"], ["simulate", "--dump-paths", "20"], ["pipeline"],
              ["price-check"]]
 
@@ -66,8 +78,34 @@ def solutions_digest(solutions) -> str:
     return h.hexdigest()
 
 
-def family_digest(family) -> str:
-    return solutions_digest(family.solutions[T] for T in sorted(family.solutions))
+def family_solutions(family) -> list:
+    return [family.solutions[T] for T in sorted(family.solutions)]
+
+
+def save_tables(directory, line: str, solutions) -> None:
+    """The fields solutions_digest hashes, as <field>_<horizon>, to directory/<line>.npz."""
+    if directory:
+        np.savez(os.path.join(directory, f"{line}.npz"), **{
+            f"{field}_{sol.cfg.horizon}": np.asarray(getattr(sol, field))
+            for sol in solutions for field in TABLE_FIELDS})
+
+
+def compare(before: str, after: str) -> None:
+    """Per line saved in both directories: max |dV|, max |dpost| and whether the
+    thresholds and fallback_rows are equal at every horizon."""
+    for file in sorted(set(os.listdir(before)) & set(os.listdir(after))):
+        with np.load(os.path.join(before, file)) as a, np.load(os.path.join(after, file)) as b:
+            if sorted(a.files) != sorted(b.files):
+                print(f"{file[:-4]} horizons differ")
+                continue
+            keys = {field: [k for k in a.files if k.rsplit("_", 1)[0] == field]
+                    for field in TABLE_FIELDS}
+            drift = [max(float(np.abs(a[k] - b[k]).max()) for k in keys[field])
+                     for field in ("values", "post_values")]
+            same = ["equal" if all(np.array_equal(a[k], b[k]) for k in keys[field]) else "differ"
+                    for field in ("thresholds", "fallback_rows")]
+        print(f"{file[:-4]} max|dV|={drift[0]:.3g} max|dpost|={drift[1]:.3g} "
+              f"thresholds={same[0]} fallback_rows={same[1]}")
 
 
 def thresholds_digest(family) -> str:
@@ -114,7 +152,16 @@ def schedule(horizon: int) -> RiskSchedule:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.parse_args(argv)
+    parser.add_argument("--save", metavar="DIR",
+                        help="also save the tables of every family and schedule line to DIR")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare the tables two --save runs saved, and do nothing else")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
+    if args.save:
+        os.makedirs(args.save, exist_ok=True)
 
     for name in ("desk_scale", "full_scale"):
         cfg = preset(name)
@@ -122,11 +169,13 @@ def main(argv=None) -> int:
         policies = []
         for label, mcfg, lam, alpha in families(cfg):
             family = solve_family(lam, alpha, mcfg, cfg.pm, grid, cfg.tau.horizons)
-            print(f"family {name}:{label} {family_digest(family)}")
+            print(f"family {name}:{label} {solutions_digest(family_solutions(family))}")
+            save_tables(args.save, f"family {name}:{label}", family_solutions(family))
             print(f"thresholds {name}:{label} {thresholds_digest(family)}")
             policies.append((label, family, mcfg))
         sol = mdp.solve(cfg.mdp, schedule(cfg.mdp.horizon), cfg.pm, grid)
         print(f"schedule {name} {solutions_digest([sol])}")
+        save_tables(args.save, f"schedule {name}", [sol])
         policies += [("default", ContinuousChargePolicy(cfg.mdp), cfg.mdp),
                      ("never", NeverChargePolicy(), cfg.mdp)]
         for p0 in (cfg.p0, WAITING_P0[name]):

@@ -155,44 +155,69 @@ def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
     return values, 0 if ascending else values.size
 
 
+# Rows per block of a TransitionBand: one full-scale step's product took about
+# 95, 75, 72 and 82 us over blocks of 16, 32, 48 and 64 rows, and 250 us dense
+# (2-core Xeon VM, one BLAS thread), as each row of P_t reaches 30-31 prices.
+BLOCK_ROWS = 32
+
+
 @dataclass(frozen=True)
 class TransitionBand:
-    """An n x n price transition matrix P_t in band form: its nonzero entries in
-    row-major order, with the row cumulative sums the mean-CVaR kernel reads."""
+    """An n x n price transition matrix P_t as blocks of BLOCK_ROWS rows i0:i1,
+    each over the columns j0:j1 its rows reach: every P_t[i0:i1, j0:j1].T,
+    raveled one after another, with the row cumulative sums of P_t beside it."""
 
-    n: int              # grid size; P_t is n x n
-    flat: np.ndarray    # flat indices i * n + j of the nonzero P_t[i, j], ascending
-    probs: np.ndarray   # P_t at those entries
-    cum: np.ndarray     # np.cumsum(P_t, axis=1) at those entries
+    spans: tuple         # (i0, i1, j0, j1) per block
+    starts: list         # where each block starts in probs and cum, then their length
+    probs: np.ndarray    # the blocks of P_t
+    cum: np.ndarray      # the same blocks of np.cumsum(P_t, axis=1)
 
     @classmethod
     def of(cls, trans: np.ndarray) -> "TransitionBand":
-        flat = np.flatnonzero(trans)
-        return cls(len(trans), flat, trans.ravel()[flat],
-                   np.cumsum(trans, axis=1).ravel()[flat])
+        n, nz = len(trans), trans != 0
+        first, end = nz.argmax(axis=1), n - nz[:, ::-1].argmax(axis=1)  # an empty row: 0, n
+        spans = [(i0, min(i0 + BLOCK_ROWS, n), int(first[i0:i0 + BLOCK_ROWS].min()),
+                  int(end[i0:i0 + BLOCK_ROWS].max())) for i0 in range(0, n, BLOCK_ROWS)]
+        starts = np.cumsum([0] + [(i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in spans]).tolist()
+        return cls(tuple(spans), starts, *(
+            np.concatenate([m[i0:i1, j0:j1].T.ravel() for i0, i1, j0, j1 in spans])
+            for m in (trans, np.cumsum(trans, axis=1))))
 
-    def kernel(self, rp: RiskParams) -> np.ndarray:
-        """Dense linear form K_t of mean_cvar_rows, 0 wherever P_t is: values @ K_t[i]
-        is the mean-CVaR under P_t[i] of each row of values nondecreasing in price."""
-        k = np.zeros(self.n * self.n)
-        k[self.flat] = mean_cvar_weights(self.probs, self.cum, rp)
-        return k.reshape(self.n, self.n)
+    def blocks(self, flat: np.ndarray) -> list[np.ndarray]:
+        """flat, laid out as probs is, as one (j1 - j0, i1 - i0) view per block."""
+        return [flat[a:b].reshape(j1 - j0, i1 - i0) for (i0, i1, j0, j1), a, b
+                in zip(self.spans, self.starts, self.starts[1:])]
+
+    def kernel(self, rp: RiskParams) -> list[np.ndarray]:
+        """The linear form K_t of mean_cvar_rows as its blocks K_t[i0:i1, j0:j1].T:
+        values @ K_t[i] is the mean-CVaR under P_t[i] of each row of values
+        nondecreasing in price.  K_t is 0 wherever P_t is, in a block or outside."""
+        return self.blocks(mean_cvar_weights(self.probs, self.cum, rp))
+
+    def support(self, ip: int) -> tuple[np.ndarray, np.ndarray]:
+        """The columns where row ip of P_t is nonzero, ascending, and P_t there."""
+        b, i = divmod(ip, BLOCK_ROWS)
+        row = self.blocks(self.probs)[b][:, i]
+        keep = np.flatnonzero(row)
+        return self.spans[b][2] + keep, row[keep]
 
 
-def _post_decision(v_next: np.ndarray, band: TransitionBand, kernel: np.ndarray,
+def _post_decision(v_next: np.ndarray, band: TransitionBand, kernel: list[np.ndarray],
                    rp: RiskParams, out: np.ndarray) -> int:
     """Write post[r~, ip], the mean-CVaR of V_{t+1}(r~, P_{t+1}) given P_t = grid[ip],
     into `out` and return the number of entries the sort-based fallback scored.
 
     V_{t+1}(r~, .) is nondecreasing in price, so every row takes its tail at
-    the top of the grid and one product with the linear kernel scores all
-    states.  Rows that fall more than GRID_ORDER_TOL below their running
-    maximum are scored at every price by mean_cvar_rows on the row's support
-    in the band instead.  A row falls at most its total dip (the sum of its
-    price steps down) below its running maximum, so only rows whose dip passes
-    half the tolerance (half for rounding) or is NaN take that exact test."""
+    the top of the grid and the linear kernel scores all states, one product
+    V_{t+1}[:, j0:j1] K_t[i0:i1, j0:j1].T per block of the band.  Rows that
+    fall more than GRID_ORDER_TOL below their running maximum are scored at
+    every price by mean_cvar_rows on the row's support in the band instead.
+    A row falls at most its total dip (the sum of its price steps down) below
+    its running maximum, so only rows whose dip passes half the tolerance
+    (half for rounding) or is NaN take that exact test."""
     n_p = v_next.shape[1]
-    np.matmul(v_next, kernel.T, out=out)
+    for (i0, i1, j0, j1), k in zip(band.spans, kernel):
+        np.matmul(v_next[:, j0:j1], k, out=out[:, i0:i1])
     dip = np.minimum(v_next[:, 1:] - v_next[:, :-1], 0.0).sum(axis=1)
     rows = np.flatnonzero(~(dip >= -GRID_ORDER_TOL / 2))
     if rows.size:
@@ -200,9 +225,8 @@ def _post_decision(v_next: np.ndarray, band: TransitionBand, kernel: np.ndarray,
         rows = rows[(np.maximum.accumulate(v, axis=1) - v > GRID_ORDER_TOL).any(axis=1)]
     if rows.size:
         for ip in range(n_p):
-            lo, hi = np.searchsorted(band.flat, [ip * n_p, (ip + 1) * n_p])
-            keep = band.flat[lo:hi] - ip * n_p
-            out[rows, ip] = mean_cvar_rows(v_next[np.ix_(rows, keep)], band.probs[lo:hi], rp)
+            keep, probs = band.support(ip)
+            out[rows, ip] = mean_cvar_rows(v_next[np.ix_(rows, keep)], probs, rp)
     return rows.size * n_p
 
 
@@ -223,10 +247,10 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
                    horizons) -> dict[int, MdpSolution]:
     """Risk-averse backward induction at every horizon in one sweep over
     t = max(horizons)-1..0; horizon T steps with beta[0..T-1] and ends with
-    beta[T].  Each t builds K_t once and steps the table of every horizon
-    T > t with it.  What no beta changes the grid holds (see
-    PriceGrid.tables): each phase's P_t as a TransitionBand and each horizon's
-    terminal compensation rates (see terminal_values)."""
+    beta[T].  Each t builds the blocks of K_t once and steps the table of
+    every horizon T > t with them.  What no beta changes the grid holds (see
+    PriceGrid.tables): each phase's P_t as a TransitionBand of row blocks and
+    each horizon's terminal compensation rates (see terminal_values)."""
     horizons = sorted({int(T) for T in horizons})
     if beta.horizon != horizons[-1]:
         raise ValueError(f"risk schedule length {beta.horizon + 1} does not match "

@@ -92,13 +92,13 @@ class ThresholdPolicyFamily:
 
 
 class ContinuousChargePolicy:
-    """The default baseline: always charge as much as possible."""
+    """The default baseline: always charge as much as possible until tau."""
 
     def __init__(self, cfg: MdpConfig):
         self.cfg = cfg
 
-    def levels(self, tau: np.ndarray, prices: np.ndarray) -> int:
-        return self.cfg.r_max
+    def levels(self, tau: np.ndarray, prices: np.ndarray) -> np.ndarray:
+        return np.where(np.arange(prices.shape[1])[:, None] < tau, self.cfg.r_max, 0)
 
 
 class NeverChargePolicy:
@@ -170,8 +170,9 @@ def _aggregate(outcomes: np.ndarray, how: str, alpha: float, seed: int) -> tuple
     rp = RiskParams(1.0, alpha)
 
     def cvar(counts):
-        w = counts[order] / n
-        return float(ascending @ mean_cvar_weights(w, np.cumsum(w), rp))
+        # cumulative counts are exact integers, so the last cum is exactly 1
+        w = counts[order]
+        return float(ascending @ mean_cvar_weights(w / n, np.cumsum(w) / n, rp))
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007)))
     reps = np.array([cvar(np.bincount(rng.integers(0, n, n), minlength=n))
@@ -198,10 +199,10 @@ class Scenario:
         return cls(tau, sample_paths(p0, pm, *noise), pm, seed)
 
     def simulate(self, policy, cfg: MdpConfig) -> PathBatch:
-        """Every path under policy's basestock levels, 0 from its tau on."""
+        """Every path under policy's basestock levels, each 0 (hold) from its tau on."""
         steps = int(self.tau.max())
-        level = np.where(np.arange(steps)[:, None] < self.tau,
-                         policy.levels(self.tau, self.prices[:, :steps]), 0)
+        level = np.broadcast_to(policy.levels(self.tau, self.prices[:, :steps]),
+                                (steps, len(self.tau)))
         charges = np.empty((self.prices.shape[1] - 1, len(self.tau)), dtype=int)
         charges[0] = cfg.r0
         for t in range(steps):  # one time-major row per period

@@ -465,30 +465,105 @@ class TestKernelStep:
             np.testing.assert_allclose(sol.post_values[t], want, rtol=0, atol=1e-12)
 
 
+def scatter(band, blocks):
+    """The n x n matrix holding each of `blocks`, laid out as band's, transposed
+    back at its rows i0:i1 and columns j0:j1, and 0 elsewhere."""
+    n = band.spans[-1][1]
+    dense = np.zeros((n, n))
+    for (i0, i1, j0, j1), block in zip(band.spans, blocks):
+        dense[i0:i1, j0:j1] = block.T
+    return dense
+
+
+def preset_transitions():
+    """(preset name, phase, P_t) for every phase of both presets."""
+    for name in ("desk_scale", "full_scale"):
+        cfg = preset(name)
+        grid = cfg.build_grid()
+        for phase in range(cfg.pm.seas_period):
+            yield name, phase, transition_matrix(phase, cfg.pm, grid)
+
+
+def banded_stochastic(rng, n, width):
+    """A random row-stochastic n x n matrix whose row i is nonzero only within
+    `width` columns of i, as a mean-reverting price model's rows are."""
+    trans = rng.random((n, n)) * (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) < width)
+    return trans / trans.sum(axis=1, keepdims=True)
+
+
 class TestTransitionBand:
     @given(
         lam=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
         alpha=st.sampled_from([1e-9, 1e-3, 1.0 - 1e-3, 1.0 - 1e-9]) | st.floats(0.01, 0.99),
         short_mass=st.floats(0.0, 1.0),
-        n=st.integers(1, 12),
+        n=st.integers(1, 80),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
     def test_band_kernel_equals_the_dense_formula(self, lam, alpha, short_mass, n, seed):
         # random sparse row-stochastic matrices; the rows drawn short carry a
-        # total mass below alpha, as a row of P_t that loses mass would
+        # total mass below alpha, as a row of P_t that loses mass would.  The
+        # blocks, scattered back, are that formula over the whole matrix
         rng = np.random.default_rng(seed)
         trans = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
         trans[np.arange(n), rng.integers(0, n, n)] += rng.random(n) + 1e-3  # no empty row
         trans /= trans.sum(axis=1, keepdims=True)
         short = rng.random(n) < 0.3
         trans[short] *= short_mass * alpha
-        rp = RiskParams(lam, alpha)
-        cum = np.cumsum(trans, axis=1)
         band = TransitionBand.of(trans)
-        kernel = band.kernel(rp)
-        want = dense_mean_cvar_kernel(trans, cum, lam, alpha)
-        assert kernel.tobytes() == want.tobytes()
-        assert band.n == n
-        np.testing.assert_array_equal(band.flat, np.flatnonzero(trans))
-        np.testing.assert_array_equal(band.probs, trans[trans > 0])
+        want = dense_mean_cvar_kernel(trans, np.cumsum(trans, axis=1), lam, alpha)
+        assert scatter(band, band.kernel(RiskParams(lam, alpha))).tobytes() == want.tobytes()
+        assert scatter(band, band.blocks(band.probs)).tobytes() == trans.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_preset_kernels_equal_the_dense_formula(self, lam):
+        rp = RiskParams(lam, 0.9)
+        for name, phase, trans in preset_transitions():
+            band = TransitionBand.of(trans)
+            want = dense_mean_cvar_kernel(trans, np.cumsum(trans, axis=1), lam, rp.alpha)
+            assert scatter(band, band.kernel(rp)).tobytes() == want.tobytes(), (name, phase)
+
+    def test_blocks_cover_the_matrix(self):
+        for name, phase, trans in preset_transitions():
+            band = TransitionBand.of(trans)
+            assert [s[:2] for s in band.spans] == [
+                (i0, min(i0 + mdp.BLOCK_ROWS, len(trans)))
+                for i0 in range(0, len(trans), mdp.BLOCK_ROWS)]
+            # reassembled they are P_t, so no nonzero lies outside a block
+            assert scatter(band, band.blocks(band.probs)).tobytes() == trans.tobytes()
+            cum = np.cumsum(trans, axis=1)
+            for (i0, i1, j0, j1), block in zip(band.spans, band.blocks(band.cum)):
+                assert block.T.tobytes() == cum[i0:i1, j0:j1].tobytes(), (name, phase)
+            # a window is exactly the columns its rows reach
+            for i0, i1, j0, j1 in band.spans:
+                reach = np.flatnonzero(trans[i0:i1].any(axis=0))
+                assert (j0, j1) == (reach[0], reach[-1] + 1), (name, phase)
+
+    def test_support_is_the_rows_nonzeros(self):
+        for name, phase, trans in preset_transitions():
+            band = TransitionBand.of(trans)
+            for ip, row in enumerate(trans):
+                cols, probs = band.support(ip)
+                np.testing.assert_array_equal(cols, np.flatnonzero(row))
+                assert probs.tobytes() == row[row > 0].tobytes(), (name, phase, ip)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_post_decision_equals_the_dense_product(self, lam):
+        rp = RiskParams(lam, 0.8)
+        rng = np.random.default_rng(7)
+        # both presets; a dense matrix, whose one window spans every column; and
+        # banded matrices whose size is not a multiple of BLOCK_ROWS
+        cases = [(f"{name}:{phase}", trans) for name, phase, trans in preset_transitions()]
+        dense = rng.random((70, 70))
+        dense /= dense.sum(axis=1, keepdims=True)
+        assert {s[2:] for s in TransitionBand.of(dense).spans} == {(0, 70)}
+        cases.append(("dense", dense))
+        cases += [(f"banded:{n}", banded_stochastic(rng, n, 9)) for n in (33, 77, 100)]
+        for label, trans in cases:
+            n = len(trans)
+            v = np.cumsum(rng.exponential(1.0 / n, (13, n)), axis=1)  # nondecreasing in price
+            band = TransitionBand.of(trans)
+            post = np.full((13, n), np.nan)
+            assert _post_decision(v, band, band.kernel(rp), rp, post) == 0
+            want = v @ dense_mean_cvar_kernel(trans, np.cumsum(trans, axis=1), lam, rp.alpha).T
+            np.testing.assert_allclose(post, want, rtol=0, atol=1e-13, err_msg=label)

@@ -12,6 +12,7 @@ from evcharge.policy_eval import (
     PathBatch,
     Scenario,
     TauDist,
+    _aggregate,
     compensation,
     draw,
     estimate,
@@ -79,17 +80,27 @@ class TestSimulate:
         assert np.diff(paths.charges, axis=1).max() == cfg.x_max
         assert paths.charges.max() == cfg.r_max
 
-    def test_no_action_after_tau(self):
+    def test_no_action_after_tau(self, desk_pm, desk_grid):
+        # every path steps to the longest tau, so a policy's level is 0 (hold)
+        # from each path's tau on, and the simulator takes the levels as given
         class Greedy:
-            def levels(self, tau, prices):  # one more each period
-                return np.broadcast_to(np.arange(1, prices.shape[1] + 1)[:, None], prices.T.shape)
+            def levels(self, tau, prices):  # one more each period until tau
+                t = np.arange(1, prices.shape[1] + 1)[:, None]
+                return np.where(t <= tau, t, 0)
 
         cfg = desk_cfg()
-        paths = small_scenario(40, 5).simulate(Greedy(), cfg)
+        scenario = small_scenario(40, 5)
+        paths = scenario.simulate(Greedy(), cfg)
         assert set(paths.tau) == {2, 3}
         for i, tau in enumerate(paths.tau):
             np.testing.assert_array_equal(np.diff(paths.charges[i]), [1] * tau + [0] * (3 - tau))
             assert paths.charges[i, -1] == tau
+        family = solve_family(0.5, 0.9, cfg, desk_pm, desk_grid, (2, 3))
+        for policy in (family, ContinuousChargePolicy(cfg), NeverChargePolicy()):
+            level = np.broadcast_to(policy.levels(scenario.tau, scenario.prices[:, :3]), (3, 40))
+            assert not level[np.arange(3)[:, None] >= scenario.tau].any()
+        default = ContinuousChargePolicy(cfg).levels(scenario.tau, scenario.prices[:, :3])
+        assert np.all(default[:2] == cfg.r_max)  # every tau is 2 or 3
 
     def test_missing_horizon_rejected(self, desk_pm, desk_grid):
         fam = solve_family(0.5, 0.9, desk_cfg(), desk_pm, desk_grid, (2,))
@@ -275,6 +286,14 @@ class TestEstimate:
         assert m.risk == pytest.approx(risk, rel=1e-12, abs=0)
         # the SE relative to the estimate: tied outcomes give an SE of rounding only
         assert m.risk_se == pytest.approx(risk_se, rel=0, abs=1e-12 * risk)
+
+    @pytest.mark.parametrize("n_paths", [1_000, 20_000, 100_000])
+    def test_cvar_of_a_constant_is_that_constant(self, n_paths):
+        # the cumulative weights are cumulative counts over n, exactly 1 at the
+        # top, so the tail mass does not drift with the number of paths
+        risk, risk_se = _aggregate(np.ones(n_paths), "cvar", 0.9, seed=3)
+        assert abs(risk - 1.0) <= 1e-14
+        assert risk_se <= 1e-14
 
     def test_unknown_risk_agg_rejected(self):
         cfg = desk_cfg()

@@ -5,6 +5,7 @@ import csv
 import os
 import subprocess
 import sys
+import tempfile
 
 import evcharge
 
@@ -48,8 +49,13 @@ def test_full_scale_comparison(tmp_path):
 
 
 def test_identity_digest():
-    proc = run_script("identity_digest.py")
-    assert proc.returncode == 0, proc.stderr
+    # the saved tables are about 250 MB, so they go as soon as they are compared
+    with tempfile.TemporaryDirectory() as tables:
+        proc = run_script("identity_digest.py", "--save", tables)
+        assert proc.returncode == 0, proc.stderr
+        same = run_script("identity_digest.py", "--compare", tables, tables)
+        assert same.returncode == 0, same.stderr
+        saved = sorted(os.listdir(tables))
     lines = [line.split(" ") for line in proc.stdout.splitlines()]
     assert all(len(parts) == 3 for parts in lines)
     assert all(len(parts[2]) == 64 for parts in lines if parts[0] != "cvar")
@@ -60,6 +66,14 @@ def test_identity_digest():
     assert ({name for kind, name in names if kind == "thresholds"}
             == {name for kind, name in names if kind == "family"})
     assert {name for kind, name in names if kind == "schedule"} == {"desk_scale", "full_scale"}
+    # one file of tables per family and schedule line; a tree against itself
+    # reads no drift and equal thresholds and fallback counts on every line
+    assert saved == sorted(f"{kind} {name}.npz" for kind, name in names
+                           if kind in ("family", "schedule"))
+    assert sorted(line.split(" ", 2)[2] for line in same.stdout.splitlines()) == [
+        "max|dV|=0 max|dpost|=0 thresholds=equal fallback_rows=equal"] * 16
+    assert sorted(line.split(" ", 2)[:2] for line in same.stdout.splitlines()) == sorted(
+        [kind, name] for kind, name in names if kind in ("family", "schedule"))
     # each preset: 7 families, Default and Never, from 2 start prices
     assert sum(kind == "score" for kind, _ in names) == 36
     assert {name.split(":", 2)[2] for kind, name in names if kind == "score"} == {
