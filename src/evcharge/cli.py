@@ -231,12 +231,9 @@ def cmd_price_check(args) -> int:
         d = price_model.noise_dist(t, cfg.pm)
         if abs(d.probs.sum() - 1.0) > 1e-12 or d.probs.min() < price_model.TRIM:
             failed = True
-    # conditional mean drift must shrink with the price level
-    means = np.array([
-        price_model.next_price_dist(p, 0, cfg.pm, grid).mean() - p
-        for p in grid.points[1:-1]
-    ])
-    if np.any(np.diff(means) >= 1e-9):
+    # conditional mean drift E[P_1 | P_0 = p] - p must shrink with p on the interior
+    drift = price_model.transition_matrix(0, cfg.pm, grid) @ grid.points - grid.points
+    if np.any(np.diff(drift[1:-1]) >= 1e-9):
         failed = True
     print(f"grid: {len(grid)} points [{grid.points[0]:.0f}, {grid.points[-1]:.0f}]; "
           f"noise checks {'FAILED' if failed else 'passed'}")

@@ -367,22 +367,3 @@ def verify_structure(sol: MdpSolution, tolerance: float = 1e-9) -> StructureRepo
     checks.append(CheckResult("threshold_nonincreasing_in_price", worst <= 0, worst, loc))
 
     return StructureReport(tuple(checks))
-
-
-def bellman_residual(sol: MdpSolution) -> float:
-    """Max |V - RHS of the recursion| over all stored states; consistency gauge.
-
-    Takes the min over every feasible charge x explicitly, independently of
-    how the solver takes it."""
-    cfg = sol.cfg
-    p_kwh = sol.grid.points * MWH_PER_KWH
-    x = np.arange(cfg.x_max + 1)
-    dest = np.arange(cfg.r_max + 1)[:, None] + x  # (r, x) -> post-decision level
-    feasible = (dest <= cfg.r_max)[:, :, None]
-    charge = x[None, :, None] * p_kwh - cfg.c_f
-    worst = 0.0
-    for t in range(cfg.horizon):
-        post = sol.post_values[t][np.minimum(dest, cfg.r_max)]  # (r, x, n_p)
-        rhs = np.where(feasible, charge + post, np.inf).min(axis=1)
-        worst = max(worst, float(np.abs(rhs - sol.values[t]).max()))
-    return worst

@@ -159,6 +159,7 @@ def practical_risk(paths: PathBatch, metric_kind: str, cfg: MdpConfig,
 
 
 def _aggregate(outcomes: np.ndarray, how: str, alpha: float, seed: int) -> tuple[float, float]:
+    """(estimate, SE) of outcomes by how in RISK_AGGS; "cvar" is for the tests and perfbench."""
     n = len(outcomes)
     if how == "mean":
         return float(outcomes.mean()), float(outcomes.std(ddof=1) / np.sqrt(n))
@@ -230,6 +231,6 @@ def estimate(policy, tau_dist: TauDist, cfg: MdpConfig, pm: PriceModelParams,
              p0: float, n_paths: int, seed: int, risk_kind: str = "indicator",
              risk_agg: str = "mean", agg_alpha: float = 0.9,
              delta: float = 0.3) -> PracticalMetrics:
-    """Scenario.score on a Scenario drawn for this call."""
+    """Scenario.score on a Scenario drawn for this call (for the tests and perfbench)."""
     return Scenario.sample(tau_dist, pm, p0, n_paths, seed).score(
         policy, cfg, risk_kind, risk_agg, agg_alpha, delta)

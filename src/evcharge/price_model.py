@@ -216,7 +216,8 @@ def next_price_dist(p: float, t: int, params: PriceModelParams, grid: PriceGrid)
     """Distribution of the next grid price given current price p at period t.
 
     Each outcome p e^{-k} + psi is snapped to the nearest grid point; mass
-    landing outside the grid accumulates at the boundary points.
+    landing outside the grid accumulates at the boundary points.  The tests and
+    perfbench's oracles build their row-by-row reference transition law from it.
     """
     psi = noise_dist(t, params)
     targets = p * params.decay + psi.support

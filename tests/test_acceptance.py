@@ -188,7 +188,9 @@ def test_criterion_7_full_scale_anchors():
     # reachable at these parameters: a clairvoyant policy that buys the whole
     # battery at the window-minimum price averages < $4.5, and the marginal
     # compensation (~$105/MWh) always exceeds typical prices, so skipping is
-    # dominated and every policy fully charges.  See the decisions ledger.
+    # dominated and every policy fully charges: today all 110 sampled beta of
+    # the full-scale pipeline give (reward, risk) = (1.857672, 0).  ROADMAP
+    # items 1 (one price model) and 4 (presets whose budgets bind) change this.
     # The check asserts the Default anchor and the directional orderings and
     # reports the measured RN numbers next to the published ones.
     ok = (default.risk == 0.0

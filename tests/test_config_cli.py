@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evcharge
-from evcharge import mdp, policy_eval
+from evcharge import mdp, policy_eval, price_model
 from evcharge.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_STRUCTURE, main
 from evcharge.config import (
     DESK_SCALE,
@@ -217,13 +217,25 @@ class TestCli:
         assert {ln.split(",")[0] for ln in lines[1:]} == {"threshold", "default", "never"}
         assert os.path.exists(os.path.join(out, "trajectories.csv"))
 
-    def test_price_check(self, tmp_path):
+    @pytest.mark.parametrize("name", ["desk_scale", "full_scale"])
+    def test_price_check(self, tmp_path, name):
         out = str(tmp_path / "out")
-        code = main(["price-check", "--config", write_cfg(tmp_path, small_raw()),
-                     "--out-dir", out])
-        assert code == EXIT_OK
+        assert main(["price-check", "--preset", name, "--out-dir", out]) == EXIT_OK
         assert os.path.exists(os.path.join(out, "price_grid.csv"))
         assert os.path.exists(os.path.join(out, "noise_t0.csv"))
+
+    def test_price_check_fails_on_rising_drift(self, tmp_path, capsys, monkeypatch):
+        def doubling(t, params, grid):
+            # row i moves to column min(2i, n - 1), so the drift grows with the price
+            n = len(grid)
+            mat = np.zeros((n, n))
+            mat[np.arange(n), np.minimum(2 * np.arange(n), n - 1)] = 1.0
+            return mat
+
+        monkeypatch.setattr(price_model, "transition_matrix", doubling)
+        code = main(["price-check", "--preset", "desk_scale", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_STRUCTURE
+        assert "noise checks FAILED" in capsys.readouterr().out
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_STRUCTURE}) == 4
@@ -303,3 +315,16 @@ def test_pipeline_draws_once_and_scores_default_on_it(tmp_path, monkeypatch):
         default = next(csv.DictReader(fh))
     assert default["epsilon"] == "Default"
     assert (default["reward"], default["risk"]) == (f"{want.reward:.6f}", f"{want.risk:.6f}")
+
+
+@pytest.mark.full_scale
+def test_price_check_drift_matches_next_price_dist():
+    # price-check reads the drift from transition_matrix; next_price_dist builds
+    # the same law one price at a time
+    cfg = preset("full_scale")
+    grid = cfg.build_grid()
+    for t in range(cfg.pm.seas_period):
+        drift = price_model.transition_matrix(t, cfg.pm, grid) @ grid.points - grid.points
+        want = [price_model.next_price_dist(p, t, cfg.pm, grid).mean() - p
+                for p in grid.points[1:-1]]
+        np.testing.assert_allclose(drift[1:-1], want, rtol=0, atol=1e-12)
