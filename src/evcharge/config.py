@@ -6,7 +6,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
 import yaml
 
 from .mdp import MdpConfig
@@ -108,25 +107,6 @@ DESK_SCALE = {
 PRESETS = {"full_scale": FULL_SCALE, "desk_scale": DESK_SCALE}
 
 
-_REQUIRED = object()
-
-
-def _section(raw: dict, name: str) -> dict:
-    if name not in raw:
-        raise ConfigError(f"missing required section {name}")
-    if not isinstance(raw[name], dict):
-        raise ConfigError(f"section {name} must be a mapping, got {raw[name]!r}")
-    return raw[name]
-
-
-def _value(section: dict, section_name: str, key: str, default=_REQUIRED):
-    if key in section:
-        return section[key]
-    if default is _REQUIRED:
-        raise ConfigError(f"missing required field {section_name}.{key}")
-    return default
-
-
 def _is_integer(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral)
 
@@ -140,87 +120,87 @@ def _is_number(value) -> bool:
         return False
 
 
-def _integer(section: dict, section_name: str, key: str, default=_REQUIRED) -> int:
-    value = _value(section, section_name, key, default)
-    if not _is_integer(value):
-        raise ConfigError(f"{section_name}.{key} must be an integer, got {value!r}")
-    return int(value)
+def _is_list(values, is_element) -> bool:
+    return isinstance(values, (list, tuple)) and all(is_element(v) for v in values)
 
 
-def _number(section: dict, section_name: str, key: str, default=_REQUIRED) -> float:
-    value = _value(section, section_name, key, default)
-    if not _is_number(value):
-        raise ConfigError(f"{section_name}.{key} must be a finite number, got {value!r}")
-    return float(value)
+# a kind of value: what a message says it must be, its test and its conversion
+INTEGER = ("an integer", _is_integer, int)
+NUMBER = ("a finite number", _is_number, float)
+STRING = ("a string", lambda v: isinstance(v, str), str)
+INTEGERS = ("a list of integers", lambda v: _is_list(v, _is_integer), lambda v: tuple(map(int, v)))
+NUMBERS = ("a list of finite numbers", lambda v: _is_list(v, _is_number),
+           lambda v: tuple(map(float, v)))
+INTEGER_OR_NULL = ("an integer or null", lambda v: v is None or _is_integer(v),
+                   lambda v: None if v is None else int(v))
+REQUIRED = object()
+
+# every section of a config file maps each of its fields to (kind, default);
+# grid_span and output_dir sit at the top level
+SCHEMA = {
+    "price_model": {**dict.fromkeys(("kappa_Y", "mu_Y", "sigma_Y", "mu_J", "sigma_J", "jump_prob",
+                                     "seas_a", "seas_b", "seas_c"), (NUMBER, REQUIRED)),
+                    "seas_period": (INTEGER, REQUIRED)},
+    "mdp": {"r_max": (INTEGER, REQUIRED), "x_max": (INTEGER, REQUIRED), "c_f": (NUMBER, REQUIRED),
+            "p_ref": (NUMBER, REQUIRED), "gamma_h": (NUMBER, REQUIRED), "r0": (INTEGER, 0),
+            "gamma_y_kind": (STRING, "softplus"), "gamma_y_cap": (NUMBER, 1.0)},
+    "tau": {"horizons": (INTEGERS, REQUIRED), "probs": (NUMBERS, REQUIRED)},
+    "simulation": {"p0": (NUMBER, REQUIRED), "n_paths": (INTEGER, REQUIRED),
+                   "seed": (INTEGER, REQUIRED), "risk_kind": (STRING, "indicator"),
+                   "delta": (NUMBER, 0.3)},
+    "beta_search": {"degree": (INTEGER, 10), "constraint_grid_n": (INTEGER, 50),
+                    "epsilons": (NUMBERS, [0.05]), "sample_lambdas": (NUMBERS, REQUIRED),
+                    "sample_alphas": (NUMBERS, REQUIRED)},
+    "grid_span": (INTEGER_OR_NULL, None),
+    "output_dir": (STRING, "out"),
+}
 
 
-def _list(section: dict, section_name: str, key: str, default=_REQUIRED,
-          integers: bool = False) -> tuple:
-    values = _value(section, section_name, key, default)
-    is_element = _is_integer if integers else _is_number
-    if not isinstance(values, (list, tuple)) or not all(is_element(v) for v in values):
-        what = "integers" if integers else "finite numbers"
-        raise ConfigError(f"{section_name}.{key} must be a list of {what}, got {values!r}")
-    return tuple(int(v) if integers else float(v) for v in values)
+def _read(raw: dict, schema: dict, prefix: str = "") -> dict:
+    """Check `raw` against `schema` and return its converted fields, defaults
+    filled in; a section is read into a dict of its own."""
+    for key in raw:
+        if key not in schema:
+            raise ConfigError(f"unknown field {prefix}{key}")
+    fields = {}
+    for key, spec in schema.items():
+        name = prefix + key
+        if isinstance(spec, dict):
+            if key not in raw:
+                raise ConfigError(f"missing required section {name}")
+            if not isinstance(raw[key], dict):
+                raise ConfigError(f"section {name} must be a mapping, got {raw[key]!r}")
+            fields[key] = _read(raw[key], spec, name + ".")
+            continue
+        (what, test, convert), default = spec
+        if key not in raw and default is REQUIRED:
+            raise ConfigError(f"missing required field {name}")
+        value = raw.get(key, default)
+        if not test(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        fields[key] = convert(value)
+    return fields
 
 
 def from_dict(raw: dict) -> ExperimentConfig:
-    pm_raw, mdp_raw, tau_raw, sim, bs = (
-        _section(raw, name) for name in ("price_model", "mdp", "tau", "simulation", "beta_search"))
-
-    pm_fields = {k: _number(pm_raw, "price_model", k)
-                 for k in ("kappa_Y", "mu_Y", "sigma_Y", "mu_J", "sigma_J",
-                           "jump_prob", "seas_a", "seas_b", "seas_c")}
-    pm_fields["seas_period"] = _integer(pm_raw, "price_model", "seas_period")
+    fields = _read(raw, SCHEMA)
     try:
-        pm = PriceModelParams(**pm_fields)
+        pm = PriceModelParams(**fields["price_model"])
     except ValueError as exc:
         raise ConfigError(f"price_model: {exc}") from exc
-
-    horizons = _list(tau_raw, "tau", "horizons", integers=True)
-    probs = np.array(_list(tau_raw, "tau", "probs"))
     try:
-        tau = TauDist(horizons, probs)
+        tau = TauDist(**fields["tau"])
     except ValueError as exc:
         raise ConfigError(f"tau: {exc}") from exc
-
-    mdp_fields = dict(
-        r_max=_integer(mdp_raw, "mdp", "r_max"),
-        x_max=_integer(mdp_raw, "mdp", "x_max"),
-        c_f=_number(mdp_raw, "mdp", "c_f"),
-        p_ref=_number(mdp_raw, "mdp", "p_ref"),
-        gamma_h=_number(mdp_raw, "mdp", "gamma_h"),
-        r0=_integer(mdp_raw, "mdp", "r0", 0),
-        gamma_y_kind=mdp_raw.get("gamma_y_kind", "softplus"),
-        gamma_y_cap=_number(mdp_raw, "mdp", "gamma_y_cap", 1.0),
-    )
     try:
-        mdp = MdpConfig(horizon=max(tau.horizons), **mdp_fields)
+        mdp = MdpConfig(horizon=max(tau.horizons), **fields["mdp"])
         mdp.check_compensation_lipschitz(pm)
     except ValueError as exc:
         raise ConfigError(f"mdp: {exc}") from exc
 
-    grid_span = raw.get("grid_span")
-    if grid_span is not None and not _is_integer(grid_span):
-        raise ConfigError(f"grid_span must be an integer or null, got {grid_span!r}")
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
-    cfg = ExperimentConfig(
-        pm=pm, mdp=mdp, tau=tau,
-        grid_span=grid_span,
-        p0=_number(sim, "simulation", "p0"),
-        n_paths=_integer(sim, "simulation", "n_paths"),
-        seed=_integer(sim, "simulation", "seed"),
-        risk_kind=sim.get("risk_kind", "indicator"),
-        delta=_number(sim, "simulation", "delta", 0.3),
-        degree=_integer(bs, "beta_search", "degree", 10),
-        constraint_grid_n=_integer(bs, "beta_search", "constraint_grid_n", 50),
-        epsilons=_list(bs, "beta_search", "epsilons", [0.05]),
-        sample_lambdas=_list(bs, "beta_search", "sample_lambdas"),
-        sample_alphas=_list(bs, "beta_search", "sample_alphas"),
-        output_dir=output_dir,
-    )
+    cfg = ExperimentConfig(pm=pm, mdp=mdp, tau=tau, grid_span=fields["grid_span"],
+                           output_dir=fields["output_dir"], **fields["simulation"],
+                           **fields["beta_search"])
     for field in ("sample_lambdas", "sample_alphas"):
         if not getattr(cfg, field):
             raise ConfigError(f"beta_search.{field} must not be empty")

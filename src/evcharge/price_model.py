@@ -150,8 +150,6 @@ def noise_dist(t: int, params: PriceModelParams) -> DiscreteDist:
     """
     drift = params.noise_drift(t)
     var0 = params.diffusion_var
-    if var0 < 0 or var0 + params.sigma_J**2 < 0:
-        raise ValueError("degenerate noise variance")
     std0 = np.sqrt(var0)
     std1 = np.sqrt(var0 + params.sigma_J**2)
     w1 = params.jump_prob

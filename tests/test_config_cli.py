@@ -16,6 +16,7 @@ from evcharge.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_STRUCTURE, mai
 from evcharge.config import (
     DESK_SCALE,
     FULL_SCALE,
+    SCHEMA,
     ConfigError,
     from_dict,
     load_config,
@@ -106,6 +107,17 @@ BAD_FIELDS = [
     # delta < 0 puts every path at risk, delta > 1 none
     ("simulation", "delta", -0.5, "simulation.delta"),
     ("simulation", "delta", 1.5, "simulation.delta"),
+    # a key outside the schema, one per section and one at top level; a
+    # misspelled optional field used to load with its default in its place
+    ("price_model", "kappa_y", 0.341, "unknown field price_model.kappa_y"),
+    ("mdp", "gamma_y_capp", 2.0, "unknown field mdp.gamma_y_capp"),
+    ("tau", "prob", [1.0], "unknown field tau.prob"),
+    ("simulation", "risk_knd", "shortage", "unknown field simulation.risk_knd"),
+    ("beta_search", "degre", 7, "unknown field beta_search.degre"),
+    (None, "gird_span", 3, "unknown field gird_span"),
+    # a kind name that is not a string fails as such, not as an unknown kind
+    ("mdp", "gamma_y_kind", 3, "mdp.gamma_y_kind must be a string"),
+    ("simulation", "risk_kind", ["indicator"], "simulation.risk_kind must be a string"),
 ]
 # one id per field; a field's later cases add their value
 BAD_FIELD_IDS = []
@@ -127,9 +139,11 @@ def test_bad_field_fails_at_load(tmp_path, capsys, section, key, value, named):
 
 
 DELETE = object()
-FIELDS = ([(None, name) for name in DESK_SCALE]
-          + [(section, key) for section, body in DESK_SCALE.items() if isinstance(body, dict)
-             for key in body])
+UNKNOWN = "unknown_key"
+SECTIONS = [section for section, body in SCHEMA.items() if isinstance(body, dict)]
+FIELDS = ([(None, name) for name in SCHEMA]
+          + [(section, key) for section in SECTIONS for key in SCHEMA[section]]
+          + [(section, UNKNOWN) for section in [None] + SECTIONS])
 SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
            | st.text(max_size=4))
 VALUES = (st.just(DELETE) | SCALARS | st.lists(SCALARS, max_size=4)
@@ -141,19 +155,23 @@ VALUES = (st.just(DELETE) | SCALARS | st.lists(SCALARS, max_size=4)
 @example(field=("price_model", "kappa_Y"), value=1e308)
 @example(field=("mdp", "p_ref"), value=0.0)
 @example(field=("mdp", "p_ref"), value=-0.05)
+@example(field=("mdp", "gamma_y_cap"), value=-1.0)  # neither preset sets it
+@example(field=("simulation", UNKNOWN), value="shortage")
 @settings(max_examples=400, deadline=None)
 def test_any_single_field_mutation_loads_or_raises_config_error(field, value):
     raw = copy.deepcopy(DESK_SCALE)
     section, key = field
     target = raw if section is None else raw[section]
     if value is DELETE:
-        del target[key]
+        target.pop(key, None)
     else:
         target[key] = value
     try:
         from_dict(raw)
     except ConfigError:
         pass
+    else:
+        assert key != UNKNOWN or value is DELETE  # a key outside the schema never loads
 
 
 def test_cli_import_skips_scipy_stats():
