@@ -35,12 +35,6 @@ def softplus(y):
     return np.logaddexp(0.0, y)
 
 
-def linear_capped(cap: float):
-    def gamma(y):
-        return np.clip(y, 0.0, cap)
-    return gamma
-
-
 @dataclass(frozen=True)
 class MdpConfig:
     """Static problem data for one charging MDP instance."""
@@ -75,28 +69,29 @@ class MdpConfig:
     def fast_regime(self) -> bool:
         return self.x_max >= self.r_max
 
-    @property
-    def gamma_y(self):
-        """Market-dependent compensation $\\gamma_Y$; argument in $/kWh."""
-        if self.gamma_y_kind == "softplus":
-            return softplus
-        return linear_capped(self.gamma_y_cap)
+    def gamma_y(self, y):
+        """Market-dependent compensation rate $\\gamma_Y$ at y $/kWh."""
+        return (softplus(y) if self.gamma_y_kind == "softplus"
+                else np.clip(y, 0.0, self.gamma_y_cap))
 
     def check_compensation_lipschitz(self, pm: PriceModelParams) -> None:
         """Reject compensation functions too price-sensitive for the threshold
         monotonicity results to apply."""
-        lipschitz = 1.0  # softplus and clip both have slope at most 1 on the $/kWh scale
-        # in log space, as exp(2 kappa_Y) overflows; p_ref = 0 pays no compensation
-        log_bound = 2.0 * pm.kappa_Y - math.log(self.p_ref) if self.p_ref > 0 else math.inf
-        if math.log(lipschitz) > log_bound:
+        # softplus and clip have slope at most 1 ($/kWh) and the bound is exp(2 kappa_Y) / p_ref:
+        # compare logs, as exp(2 kappa_Y) overflows; p_ref = 0 pays no compensation
+        if self.p_ref > 0 and math.log(self.p_ref) > 2.0 * pm.kappa_Y:
             raise ValueError(
-                f"gamma_Y Lipschitz constant {lipschitz} exceeds the "
-                f"admissible bound {math.exp(log_bound):.6g}"
+                f"gamma_Y Lipschitz constant 1.0 exceeds the admissible bound "
+                f"{math.exp(2.0 * pm.kappa_Y - math.log(self.p_ref)):.6g}"
             )
 
     def benchmark(self, T):
         """Charge reached by continuous charging over T periods, kWh."""
         return np.minimum(self.r0 + T * self.x_max, self.r_max)
+
+    def shortfall(self, T, r):
+        """kWh compensated at charge r after T periods: benchmark(T) - r, at least 0."""
+        return np.maximum(self.benchmark(T) - r, 0)
 
     def compensation(self, h, rate):
         """Compensation for a shortage of h kWh at the market rate `rate`, $."""
@@ -150,8 +145,7 @@ def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
         rho_gamma = gamma @ mean_cvar_weights(probs, cum, beta_T)  # (n_p,)
     else:
         rho_gamma = mean_cvar_rows(gamma, probs, beta_T)
-    h = (cfg.benchmark(T) - np.arange(cfg.r_max + 1)).astype(float)
-    values = cfg.compensation(h[:, None], rho_gamma[None, :])
+    values = cfg.compensation(cfg.shortfall(T, np.arange(cfg.r_max + 1))[:, None], rho_gamma)
     return values, 0 if ascending else values.size
 
 

@@ -10,6 +10,7 @@ and all paths step together through one charge rule, basestock.
 
 The purchase made at t is priced at P_{t+1}, whereas mdp.solve optimizes the
 cost x P_t, so the simulator scores a cost the solver did not minimize.
+Compensation is paid on MdpConfig.shortfall, 0 at or above the benchmark, as the solver's is.
 """
 
 from __future__ import annotations
@@ -131,10 +132,9 @@ def draw(tau_dist: TauDist, n_paths: int, seed: int):
 
 def compensation(paths: PathBatch, cfg: MdpConfig, pm: PriceModelParams) -> np.ndarray:
     """Per-path inconvenience compensation paid at tau + 1, $."""
-    h = cfg.benchmark(paths.tau) - paths.charges[:, -1]
     p_end = paths.prices[np.arange(len(paths.tau)), paths.tau + 1]
     y = (p_end - pm.seasonality(paths.tau + 1)) * MWH_PER_KWH
-    return np.where(h > 0, cfg.compensation(h, cfg.gamma_y(y)), 0.0)
+    return cfg.compensation(cfg.shortfall(paths.tau, paths.charges[:, -1]), cfg.gamma_y(y))
 
 
 def practical_reward(paths: PathBatch, cfg: MdpConfig, pm: PriceModelParams) -> np.ndarray:
@@ -154,7 +154,7 @@ def practical_risk(paths: PathBatch, metric_kind: str, cfg: MdpConfig,
     if metric_kind == "compensation":
         return compensation(paths, cfg, pm)
     if metric_kind == "shortage":
-        return (cfg.benchmark(paths.tau) - final).astype(float)
+        return cfg.shortfall(paths.tau, final).astype(float)
     raise ValueError(f"unknown practical risk kind {metric_kind!r}")
 
 

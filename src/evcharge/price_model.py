@@ -56,7 +56,7 @@ class PriceModelParams:
     def diffusion_var(self) -> float:
         """Stationary one-step variance of the diffusion part."""
         k = self.kappa_Y
-        return self.sigma_Y**2 * (1.0 - np.exp(-2.0 * k)) / (2.0 * k)
+        return self.sigma_Y**2 * -np.expm1(-2.0 * k) / (2.0 * k)
 
     def seasonality(self, t) -> float:
         """Deterministic seasonal component g(t), periodic in seas_period."""

@@ -93,7 +93,7 @@ def terminal_table(cfg: MdpConfig, rp: RiskParams, pm: PriceModelParams,
         y = (p * decay + y_dev) * MWH_PER_KWH
         rho_gamma = mean_cvar_grid_search(cfg.gamma_y(y), psi.probs, rp)
         for r in range(cfg.r_max + 1):
-            h = bench - r
+            h = max(bench - r, 0)  # no compensation at or above the benchmark
             term[r, ip] = (1.0 + cfg.gamma_h * h + rho_gamma) * h * cfg.p_ref
     return term
 

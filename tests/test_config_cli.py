@@ -216,6 +216,15 @@ class TestCli:
         assert code == EXIT_OK
         assert os.path.exists(os.path.join(out, "structure_report.csv"))
 
+    def test_verify_passes_below_the_capacity_benchmark(self, tmp_path):
+        # x_max = 3 over 2 periods reaches 6 of r_max = 12: no bonus above the
+        # benchmark, so V still rises with the price at t = T
+        raw = small_raw()
+        raw["mdp"]["x_max"] = 3
+        code = main(["verify", "--config", write_cfg(tmp_path, raw), "--horizon", "2",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_OK
+
     def test_missing_field_exit_code(self, tmp_path, capsys):
         raw = small_raw()
         del raw["price_model"]["kappa_Y"]

@@ -14,14 +14,13 @@ from evcharge.mdp import (
     MdpConfig,
     TransitionBand,
     _post_decision,
-    linear_capped,
     softplus,
     solve,
     solve_horizons,
     terminal_values,
     verify_structure,
 )
-from evcharge.policy_eval import ThresholdPolicyFamily, basestock
+from evcharge.policy_eval import PathBatch, ThresholdPolicyFamily, basestock, compensation
 from evcharge.price_model import PriceGrid, build_grid, noise_dist, transition_matrix
 from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_rows
 
@@ -78,6 +77,8 @@ class TestConfig:
                         horizon=2, r0=0)
         assert cfg.benchmark(cfg.horizon) - 5 == 15  # benchmark is 2 * 10 = 20
         np.testing.assert_array_equal(cfg.benchmark(np.array([1, 2, 6, 7])), [10, 20, 60, 60])
+        # a charge at or above the benchmark is owed nothing
+        np.testing.assert_array_equal(cfg.shortfall(2, np.array([5, 20, 30])), [15, 0, 0])
 
     def test_fast_regime_flag(self):
         assert desk_cfg(x_max=12).fast_regime
@@ -98,7 +99,8 @@ class TestConfig:
             MdpConfig(r_max=0, x_max=5, c_f=0.1, p_ref=0.05, gamma_h=0.0, horizon=2)
 
     def test_gamma_y_kinds(self):
-        assert desk_cfg().gamma_y is softplus
+        y = np.linspace(-3.0, 3.0, 13)
+        np.testing.assert_array_equal(desk_cfg().gamma_y(y), softplus(y))
         capped = MdpConfig(r_max=5, x_max=5, c_f=0.1, p_ref=0.05, gamma_h=0.0,
                            horizon=2, gamma_y_kind="linear-capped", gamma_y_cap=0.5)
         g = capped.gamma_y
@@ -117,10 +119,15 @@ class TestConfig:
 
 
 class TestTerminal:
-    def test_no_shortage_is_free(self, micro_grid):
-        cfg = micro_cfg()
+    def test_no_shortage_is_free(self, micro_grid, desk_grid):
+        # every charge at or above the benchmark pays 0, also where the benchmark
+        # stays below r_max (desk x_max = 3 at T = 2 reaches 6 of 12 kWh)
         beta = RiskParams(0.8, 0.9)
-        assert np.all(terminal_values(cfg, beta, MICRO_PM, micro_grid)[0][cfg.r_max] == 0.0)
+        for cfg, pm, grid in ((micro_cfg(), MICRO_PM, micro_grid),
+                              (desk_cfg(x_max=3, horizon=2), DESK_PM, desk_grid)):
+            bench = cfg.benchmark(cfg.horizon)
+            assert np.all(terminal_values(cfg, beta, pm, grid)[0][bench:] == 0.0)
+        assert bench == 6
 
     def test_known_value_without_market_term(self):
         # gamma_Y clipped to zero and gamma_h = 0: payment is h * p_ref exactly
@@ -136,6 +143,24 @@ class TestTerminal:
         rn, _ = terminal_values(cfg, RiskParams(0.0, 0.5), MICRO_PM, micro_grid)
         averse, _ = terminal_values(cfg, RiskParams(1.0, 0.9), MICRO_PM, micro_grid)
         assert np.all(averse >= rn - 1e-12)
+
+    @pytest.mark.parametrize("x_max", [3, 12], ids=["slow", "fast"])
+    def test_matches_the_simulated_compensation(self, desk_pm, desk_grid, x_max):
+        # at lambda = 0 the terminal value is the compensation the simulator charges,
+        # weighted by the noise: a path that ends at charge r with next price
+        # p e^-kappa + psi_k, for every r and every 4th grid price p
+        cfg = desk_cfg(x_max=x_max, horizon=2)
+        T, psi = cfg.horizon, noise_dist(cfg.horizon, desk_pm)
+        values, _ = terminal_values(cfg, RiskParams(0.0, 0.5), desk_pm, desk_grid)
+        r, p, k = (a.ravel() for a in np.meshgrid(
+            np.arange(cfg.r_max + 1), desk_grid.points[::4], np.arange(len(psi.support)),
+            indexing="ij"))
+        prices = np.zeros((len(r), T + 2))
+        prices[:, T + 1] = p * desk_pm.decay + psi.support[k]
+        charges = np.repeat(r[:, None], T + 1, axis=1)
+        paid = compensation(PathBatch(np.full(len(r), T), prices, charges), cfg, desk_pm)
+        expected = (paid * psi.probs[k]).reshape(cfg.r_max + 1, -1, len(psi.support)).sum(axis=2)
+        np.testing.assert_allclose(values[:, ::4], expected, rtol=0, atol=1e-12)
 
     def test_shape(self, micro_grid):
         cfg = micro_cfg()
@@ -305,23 +330,32 @@ class TestSolve:
 
 class TestSolveHorizons:
     @pytest.mark.parametrize("x_max", [12, 3, 20], ids=["fast", "slow", "wide"])
-    def test_sweep_matches_separate_solves(self, desk_pm, desk_grid, x_max):
+    def test_sweep_matches_separate_solves(self, monkeypatch, desk_pm, desk_grid, x_max):
         # horizon T steps with beta[0..T-1] and ends with beta[T]; stepping the
         # horizons together must not change a bit of any of them
         cfg = desk_cfg(x_max=x_max, horizon=4)
         beta = random_schedule(np.random.default_rng(31), 4)
-        sols = solve_horizons(cfg, beta, desk_pm, desk_grid, {2, 3, 4})
-        assert sorted(sols) == [2, 3, 4]
-        for T, sol in sols.items():
-            alone = solve(replace(cfg, horizon=T), RiskSchedule(beta.per_period[:T + 1]),
-                          desk_pm, desk_grid)
-            assert sol.cfg == alone.cfg
-            np.testing.assert_array_equal(sol.values, alone.values)
-            np.testing.assert_array_equal(sol.post_values, alone.post_values)
-            np.testing.assert_array_equal(sol.thresholds, alone.thresholds)
-            assert sol.fallback_rows == alone.fallback_rows
-        # the slow regime's falling terminal rows exercise the sort-based fallback
-        assert (sum(sol.fallback_rows for sol in sols.values()) > 0) == (x_max == 3)
+
+        def fallback_rows(grid):
+            sols = solve_horizons(cfg, beta, desk_pm, grid, {2, 3, 4})
+            assert sorted(sols) == [2, 3, 4]
+            for T, sol in sols.items():
+                alone = solve(replace(cfg, horizon=T), RiskSchedule(beta.per_period[:T + 1]),
+                              desk_pm, grid)
+                assert sol.cfg == alone.cfg
+                np.testing.assert_array_equal(sol.values, alone.values)
+                np.testing.assert_array_equal(sol.post_values, alone.post_values)
+                np.testing.assert_array_equal(sol.thresholds, alone.thresholds)
+                assert sol.fallback_rows == alone.fallback_rows
+            return [sol.fallback_rows for sol in sols.values()]
+
+        # V rises with the price in either regime, so no entry takes the fallback
+        assert fallback_rows(desk_grid) == [0, 0, 0]
+        # a compensation rate that falls with the next price makes falling terminal
+        # rows, which exercise the sort-based fallback (a fresh grid holds those rates)
+        if x_max == 3:
+            monkeypatch.setattr(mdp, "softplus", lambda y: np.logaddexp(0.0, -y))
+            assert all(n > 0 for n in fallback_rows(build_grid(desk_pm, span=20)))
 
     @pytest.mark.parametrize("x_max", [3, 12, 20])
     def test_bellman_min_exact_on_both_sides_of_the_regime(self, desk_pm, desk_grid, x_max):
@@ -345,6 +379,21 @@ class TestStructure:
         report = verify_structure(sol)
         assert report.all_passed, str(report)
         assert sol.fallback_rows == 0
+
+    @pytest.mark.parametrize("x_max", [3, 10])
+    def test_slow_full_scale_family_passes(self, x_max):
+        # below r_max per period the benchmark stays under r_max at short horizons
+        # (x_max = 3 up to T = 19, x_max = 10 up to T = 5); no charge above it is
+        # paid a bonus, so V rises with the price and no entry takes the fallback
+        cfg = preset("full_scale")
+        mcfg = replace(cfg.mdp, x_max=x_max)
+        assert mcfg.benchmark(min(cfg.tau.horizons)) < mcfg.r_max
+        sols = solve_horizons(mcfg, RiskSchedule.homogeneous(0.7, 0.9, max(cfg.tau.horizons)),
+                              cfg.pm, cfg.build_grid(), cfg.tau.horizons)
+        for sol in sols.values():
+            report = verify_structure(sol)
+            assert report.all_passed, str(report)
+            assert sol.fallback_rows == 0
 
     def test_negative_control_detects_corruption(self, desk_pm, desk_grid):
         cfg = desk_cfg(horizon=3)
@@ -446,15 +495,18 @@ class TestKernelStep:
         if shape == "nan-tail":
             assert falls == 1
 
-    def test_fallback_on_falling_terminal_rows(self, desk_pm, desk_grid):
-        # r0 + T x_max < r_max, so charges above the benchmark carry a negative
-        # shortage and a terminal value that falls with the price
+    def test_fallback_on_falling_terminal_rows(self, monkeypatch, desk_pm):
+        # a compensation rate that falls with the next price gives every short
+        # charge a terminal value that falls with the price (a fresh grid holds
+        # those rates); the sort-based fallback scores the steps from it exactly
+        monkeypatch.setattr(mdp, "softplus", lambda y: np.logaddexp(0.0, -y))
+        grid = build_grid(desk_pm, span=20)
         cfg = desk_cfg(x_max=3, horizon=2)
         beta = RiskSchedule.homogeneous(0.7, 0.9, cfg.horizon)
-        sol = solve(cfg, beta, desk_pm, desk_grid)
+        sol = solve(cfg, beta, desk_pm, grid)
         assert sol.fallback_rows > 0
         for t in range(cfg.horizon):
-            want = sort_path_post(sol.values[t + 1], transition_matrix(t, desk_pm, desk_grid),
+            want = sort_path_post(sol.values[t + 1], transition_matrix(t, desk_pm, grid),
                                   beta[t])
             np.testing.assert_allclose(sol.post_values[t], want, rtol=0, atol=1e-12)
 

@@ -45,6 +45,14 @@ def test_noise_dist_point_mass_when_deterministic():
     assert d.probs[0] == 1.0
 
 
+def test_diffusion_kept_at_tiny_kappa():
+    # 1 - exp(-2 kappa) rounds to 0 at kappa = 1e-17; the variance tends to sigma_Y^2
+    pm = PriceModelParams(kappa_Y=1e-17, mu_Y=0.0, sigma_Y=2.0, mu_J=0.0, sigma_J=0.0,
+                          jump_prob=0.0, seas_a=0.0, seas_b=0.0, seas_c=0.0, seas_period=4)
+    assert pm.diffusion_var == pytest.approx(4.0, rel=1e-12)
+    assert len(noise_dist(0, pm).support) > 1
+
+
 @pytest.mark.parametrize("t", [0, 7, 23, 40])
 def test_noise_dist_full_scale_parameters(full_pm, t):
     d = noise_dist(t, full_pm)
