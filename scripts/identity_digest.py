@@ -24,8 +24,12 @@ one file written by ``solve``, ``verify``, ``simulate --dump-paths 20``,
 ``pipeline`` or ``price-check`` on the desk preset.
 
 The package is imported from PYTHONPATH, so one copy of this script digests
-any checkout; diff the two outputs:
+any checkout; diff the two outputs.  Digest both trees under the same
+OPENBLAS_NUM_THREADS (1 below): the bootstrap SE on a ``cvar`` line is a BLAS
+dot product whose summation order follows the thread count, so its last
+digits differ between thread settings on one tree.
 
+    export OPENBLAS_NUM_THREADS=1
     PYTHONPATH=src python3 scripts/identity_digest.py > after.txt
     PYTHONPATH=../parent/src python3 scripts/identity_digest.py > before.txt
     diff before.txt after.txt

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import linprog
 
 from .mdp import MdpConfig, solve_horizons
 from .policy_eval import (ContinuousChargePolicy, PracticalMetrics, Scenario, TauDist,
@@ -88,6 +87,7 @@ def fit(data: list[BetaSample], target: str, degree: int,
     target="risk" enforces nonincreasing partial derivatives at every
     constraint-grid point; target="reward" is unconstrained.
     """
+    from scipy.optimize import linprog  # only the fits need scipy
     if target not in ("reward", "risk"):
         raise ValueError("target must be 'reward' or 'risk'")
     if degree < 0:

@@ -3,21 +3,24 @@
 Prices are carried in $/MWh.  One period is one decision epoch (15 minutes at
 the case-study scale).  The one-step noise is a two-component normal mixture
 (no-jump / jump), discretized onto the integers so that the induced price
-transitions live on a finite uniform grid.
+transitions live on a finite uniform grid.  The normal CDF is ndtr's form,
+Phi(x) = erfc(-x * sqrt(1/2)) / 2, from ``math.erfc``, so scipy is not imported.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 # outcomes below this probability are dropped and the rest renormalized
 TRIM = 1.5e-3
 
 # target one-step escape probability used when auto-sizing the price grid
 ESCAPE_TOL = 1e-4
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ def _interval_mass(mean: float, std: float, edges: np.ndarray) -> np.ndarray:
     """Mass a N(mean, std^2) puts on the intervals (edges[i], edges[i+1]]; a point
     mass when std == 0."""
     if std > 0.0:
-        return np.diff(ndtr((edges - mean) / std))
+        return np.diff(0.5 * _erfc((mean - edges) / std * math.sqrt(0.5)).astype(float))
     mass = np.zeros(len(edges) - 1)
     k = np.searchsorted(edges, mean, side="left") - 1
     if 0 <= k < len(mass):

@@ -1,5 +1,6 @@
 import copy
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -174,11 +175,36 @@ def test_any_single_field_mutation_loads_or_raises_config_error(field, value):
         assert key != UNKNOWN or value is DELETE  # a key outside the schema never loads
 
 
-def test_cli_import_skips_scipy_stats():
+# scipy modules loaded after importing the CLI, after solve, verify, simulate
+# and price-check, and after a pipeline, in one interpreter
+SCIPY_PROBE = """
+import json, sys
+from evcharge.cli import main
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+cfg, out, record = sys.argv[1:]
+stages = {"import": loaded()}
+for args in (["solve", "--horizon", "3"], ["verify", "--horizon", "3"], ["simulate"],
+             ["price-check"]):
+    assert main(args + ["--config", cfg, "--out-dir", out]) == 0, args
+stages["commands"] = loaded()
+assert main(["pipeline", "--config", cfg, "--out-dir", out]) == 0
+stages["pipeline"] = loaded()
+with open(record, "w") as fh:
+    json.dump(stages, fh)
+"""
+
+
+def test_scipy_loads_only_for_the_pipeline_fits(tmp_path):
     src = os.path.dirname(os.path.dirname(evcharge.__file__))
-    probe = "import sys, evcharge.cli; sys.exit('scipy.stats' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    record = tmp_path / "scipy.json"
+    subprocess.run([sys.executable, "-c", SCIPY_PROBE, write_cfg(tmp_path, small_raw()),
+                    str(tmp_path / "out"), str(record)],
+                   env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True)
+    stages = json.loads(record.read_text())
+    assert stages["import"] == []
+    assert stages["commands"] == []
+    assert "scipy.optimize" in stages["pipeline"]  # fit imports linprog where it runs
 
 
 def write_cfg(tmp_path, raw):

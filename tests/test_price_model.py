@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evcharge import price_model
 from evcharge.price_model import (
     DiscreteDist,
     PriceGrid,
@@ -66,6 +67,37 @@ def test_noise_dist_mixture_mean(full_pm, t):
     d = noise_dist(t, full_pm)
     analytic = full_pm.noise_drift(t) + full_pm.jump_prob * full_pm.mu_J
     assert d.mean() == pytest.approx(analytic, abs=0.5)
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    # every other interval (-inf, x_i] of these edges carries Phi(x_i) - Phi(-inf),
+    # which is Phi(x_i) exactly, so this reads the module's own normal CDF
+    from scipy.special import ndtr
+
+    x = np.linspace(-40.0, 40.0, 400_001)
+    edges = np.full(2 * len(x) + 1, -np.inf)
+    edges[1::2] = x
+    phi = price_model._interval_mass(0.0, 1.0, edges)[0::2]
+    np.testing.assert_allclose(phi, ndtr(x), rtol=0, atol=3e-16)
+
+
+def ndtr_interval_mass(mean, std, edges, own=price_model._interval_mass):
+    """_interval_mass with scipy's ndtr as the normal CDF: the reference."""
+    from scipy.special import ndtr
+
+    return np.diff(ndtr((edges - mean) / std)) if std > 0.0 else own(mean, std, edges)
+
+
+@pytest.mark.parametrize("pm", [DESK_PM, FULL_PM], ids=["desk", "full"])
+def test_noise_dist_matches_the_ndtr_reference(pm, monkeypatch):
+    own = [noise_dist(t, pm) for t in range(pm.seas_period)]
+    auto = len(build_grid(pm))
+    monkeypatch.setattr(price_model, "_interval_mass", ndtr_interval_mass)
+    for t, d in enumerate(own):
+        ref = noise_dist(t, pm)
+        np.testing.assert_array_equal(d.support, ref.support)
+        np.testing.assert_allclose(d.probs, ref.probs, rtol=0, atol=1e-15)
+    assert auto == len(build_grid(pm))
 
 
 def test_discrete_dist_validation():
