@@ -65,8 +65,9 @@ class MonotoneFit:
     def __call__(self, lam, alpha):
         c = np.zeros((self.degree + 1, self.degree + 1))
         c[self.powers[:, 0], self.powers[:, 1]] = self.weights
-        return npoly.polyval2d(np.asarray(lam, dtype=float),
-                               np.asarray(alpha, dtype=float), c)
+        # polyval2d, broadcast: a lam column and an alpha row cost one pass per axis
+        return npoly.polyval(np.asarray(alpha, dtype=float),
+                             npoly.polyval(np.asarray(lam, dtype=float), c), tensor=False)
 
 
 def beta_grid(n_lambda: int, n_alpha: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +149,7 @@ def select_beta(reward_fit: MonotoneFit, risk_fit: MonotoneFit,
     grid point, the risk-minimizing point is returned flagged infeasible.
     """
     ll, aa = beta_grid(201, 199)
-    reward, risk = reward_fit(ll, aa).ravel(), risk_fit(ll, aa).ravel()
+    reward, risk = (f(ll[:, :1], aa[0]).ravel() for f in (reward_fit, risk_fit))
     out = []
     for eps in epsilons:
         feasible = risk <= float(eps)

@@ -211,8 +211,8 @@ def cmd_pipeline(args) -> int:
     ll, aa = beta_search.beta_grid(41, 41)
     _write_csv(os.path.join(out, "fitted_surfaces.csv"),
                ["lambda", "alpha", "reward_fit", "risk_fit"],
-               zip(ll.ravel(), aa.ravel(), result.reward_fit(ll, aa).ravel(),
-                   result.risk_fit(ll, aa).ravel()))
+               zip(ll.ravel(), aa.ravel(), result.reward_fit(ll[:, :1], aa[0]).ravel(),
+                   result.risk_fit(ll[:, :1], aa[0]).ravel()))
     print(f"wrote {out}/selection_table.csv ({len(table)} rows)")
     return EXIT_OK
 

@@ -219,8 +219,11 @@ def from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} is not a mapping")
     return from_dict(raw)

@@ -231,6 +231,21 @@ def _check_finite(table: np.ndarray, T: int, t: int) -> None:
         raise FloatingPointError(f"non-finite value at T={T}, t={t}, r={r}, price index {ip}")
 
 
+def _window_min(work: np.ndarray, width: int) -> np.ndarray:
+    """A view into work whose row r is the minimum of rows r..r + width - 1 of
+    work[0, :n], n = work.shape[1] // 2; rows n: of both tables are +inf.  Each
+    pass writes the minimum of the s-row windows at r and r + min(s, width - s)
+    into the other table, so the windows grow exactly to width rows."""
+    n = work.shape[1] // 2
+    width = min(width, n)  # a window of n rows already reaches past the last
+    src, dst, s = work[0], work[1], 1
+    while s < width:
+        step = min(s, width - s)
+        np.minimum(src[:n], src[step:step + n], out=dst[:n])
+        src, dst, s = dst, src, s + step
+    return src[:n]
+
+
 def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
           grid: PriceGrid) -> MdpSolution:
     """Risk-averse backward induction over t = T-1..0."""
@@ -269,7 +284,9 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
         values[T][T], fallback_rows[T] = terminal_values(cfgs[T], beta[T], pm, grid)
         _check_finite(values[T][T], T, T)
 
-    pad = np.full((cfg.x_max, n_p), np.inf)
+    # the targets and the window minima's other table, +inf below row n_r (see _window_min)
+    work = np.full((2, 2 * n_r, n_p), np.inf)
+    target = work[0, :n_r]
     for t in range(horizons[-1] - 1, -1, -1):
         phase = t % pm.seas_period
         if ("transition", phase) not in tables:
@@ -280,20 +297,11 @@ def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, gri
         for T in [h for h in horizons if h > t]:
             post = post_values[T][t]
             fallback_rows[T] += _post_decision(values[T][t + 1], band, kernel, beta[t], post)
-            target = level_cost + post
-            # V_t(r, p) = min over x of x p - c_f + post(r + x), the exact min of
-            # `target` over the reachable levels r..min(r + x_max, r_max), so neither
-            # form needs a guard: with x_max >= r_max every level above r is
-            # reachable (a suffix min down r), else a sliding window padded past r_max
-            if cfg.fast_regime:
-                reach = np.minimum.accumulate(target[::-1], axis=0)[::-1]
-                lowest = reach[0]
-            else:
-                reach = np.lib.stride_tricks.sliding_window_view(
-                    np.concatenate([target, pad]), cfg.x_max + 1, axis=0).min(axis=2)
-                lowest = target.min(axis=0)
-            # the threshold is the smallest level that ties with the minimum of target
-            thresholds[T][t] = np.argmax(target <= lowest + TIE_TOL, axis=0)
+            np.add(level_cost, post, out=target)
+            # the smallest level tying with target's min, read before _window_min overwrites it
+            thresholds[T][t] = np.argmax(target <= target.min(axis=0) + TIE_TOL, axis=0)
+            # V_t(r, p) = min over x of x p - c_f + post(r + x), target's min over r..r + x_max
+            reach = _window_min(work, cfg.x_max + 1)
             np.subtract(reach, level_cost, out=values[T][t])
             values[T][t] -= cfg.c_f
             _check_finite(values[T][t], T, t)

@@ -56,7 +56,8 @@ def mean_cvar_weights(probs: np.ndarray, cum: np.ndarray, rp: RiskParams) -> np.
     """Weights w with values @ w the (1 - lam) mean + lam CVaR_alpha of outcomes
     in ascending order with probabilities probs and cumulative sums cum: the
     worst (1 - alpha) mass is the part of each atom above alpha in cum."""
-    tail = np.clip(cum - rp.alpha, 0.0, probs) / (1.0 - rp.alpha)
+    # np.clip with an array bound is slower than its two halves, and no more exact
+    tail = np.minimum(np.maximum(cum - rp.alpha, 0.0), probs) / (1.0 - rp.alpha)
     return (1.0 - rp.lam) * probs + rp.lam * tail
 
 

@@ -104,6 +104,24 @@ def linear_fit(c0, c_lam, c_alpha):
                        np.array([(0, 0), (1, 0), (0, 1)]), 1, 0.0)
 
 
+@pytest.mark.parametrize("degree", [0, 1, 3, 10])
+def test_surface_on_column_and_row_is_polyval2d_on_the_meshgrid(degree):
+    # select_beta evaluates a (lam column, alpha row) pair; each of its points
+    # takes the same Horner steps as polyval2d takes on the meshgrid
+    powers = beta_search._powers(degree)
+    surface = MonotoneFit(np.random.default_rng(degree).normal(size=len(powers)), powers,
+                          degree, 0.0)
+    c = np.zeros((degree + 1, degree + 1))
+    c[powers[:, 0], powers[:, 1]] = surface.weights
+    ll, aa = beta_search.beta_grid(201, 199)
+    want = np.polynomial.polynomial.polyval2d(ll, aa, c)
+    got = surface(ll[:, :1], aa[0])
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(surface(ll, aa), want)
+    assert surface(ll[7, 0], aa[0, 9]) == want[7, 9]
+
+
 class TestSelectBeta:
     def test_reward_in_lambda_riskless(self):
         (sel,) = select_beta(linear_fit(0.0, 1.0, 0.0), const_fit(0.0), [0.1])

@@ -346,6 +346,36 @@ def test_bad_flag_is_config_error(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+# a config file that cannot be read or parsed; each raised a traceback:
+# FileNotFoundError, IsADirectoryError, UnicodeDecodeError and a yaml ParserError
+UNREADABLE = ["missing", "directory", "binary", "malformed"]
+
+
+def unreadable_config(tmp_path, case):
+    if case == "missing":
+        return tmp_path / "absent.yaml"
+    if case == "directory":
+        return tmp_path
+    path = tmp_path / "cfg.yaml"
+    if case == "binary":
+        path.write_bytes(bytes(range(128, 256)))
+    else:
+        path.write_text("price_model: [1, 2\n")
+    return path
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, case):
+    path = str(unreadable_config(tmp_path, case))
+    with pytest.raises(ConfigError, match="cannot be read"):
+        load_config(path)
+    code = main(["solve", "--config", path, "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {path} cannot be read")
+    assert "Traceback" not in err
+
+
 def test_pipeline_draws_once_and_scores_default_on_it(tmp_path, monkeypatch):
     calls = []
     real = policy_eval.draw

@@ -357,9 +357,10 @@ class TestSolveHorizons:
             monkeypatch.setattr(mdp, "softplus", lambda y: np.logaddexp(0.0, -y))
             assert all(n > 0 for n in fallback_rows(build_grid(desk_pm, span=20)))
 
-    @pytest.mark.parametrize("x_max", [3, 12, 20])
+    @pytest.mark.parametrize("x_max", [1, 3, 11, 12, 20])
     def test_bellman_min_exact_on_both_sides_of_the_regime(self, desk_pm, desk_grid, x_max):
-        # x_max >= r_max takes the suffix min, x_max < r_max the sliding window
+        # one window minimum of width x_max + 1 serves both regimes: width 2,
+        # r_max - 1 (the window misses one level), r_max, and windows past r_max
         cfg = desk_cfg(x_max=x_max, horizon=4)
         sol = solve(cfg, random_schedule(np.random.default_rng(7), 4), desk_pm, desk_grid)
         assert cfg.fast_regime == (x_max >= cfg.r_max)
@@ -369,6 +370,42 @@ class TestSolveHorizons:
         beta = RiskSchedule.homogeneous(0.5, 0.9, 4)
         with pytest.raises(ValueError, match="risk schedule length"):
             solve_horizons(desk_cfg(), beta, desk_pm, desk_grid, [2, 3])
+
+
+def assert_window_min(table, width):
+    n, m = table.shape
+    work = np.full((2, 2 * n, m), np.inf)
+    work[0, :n] = table
+    got = mdp._window_min(work, width)
+    padded = np.concatenate([table, np.full((width - 1, m), np.inf)])
+    want = np.lib.stride_tricks.sliding_window_view(padded, width, axis=0).min(axis=2)
+    assert np.array_equal(got, want, equal_nan=True)
+    if width >= n:
+        suffix = np.minimum.accumulate(table[::-1], axis=0)[::-1]
+        assert np.array_equal(got, suffix, equal_nan=True)
+    assert np.all(work[:, n:] == np.inf)  # the next step's padding is intact
+
+
+# entries that tie, are infinite or NaN, and ordinary floats
+TIES = [-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan]
+WINDOW_ENTRIES = st.one_of(st.sampled_from(TIES), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(data=st.data(), n=st.integers(1, 70), m=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_window_min_is_the_exact_window_minimum(data, n, m):
+    width = data.draw(st.integers(2, n + 2), label="width")
+    table = data.draw(st.lists(WINDOW_ENTRIES, min_size=n * m, max_size=n * m), label="table")
+    assert_window_min(np.array(table).reshape(n, m), width)
+
+
+def test_window_min_at_every_width():
+    # every width 2..n + 2 (x_max = 1 up to past r_max) for every n up to 70
+    rng = np.random.default_rng(0)
+    for n in range(1, 71):
+        table = rng.choice(TIES + list(rng.normal(size=3)), size=(n, 3))
+        for width in range(2, n + 3):
+            assert_window_min(table, width)
 
 
 class TestStructure:
