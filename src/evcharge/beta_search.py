@@ -1,18 +1,18 @@
 """Risk-parameter selection: sample (lam, alpha) pairs, fit polynomial
 surfaces for practical reward and risk, and pick the best feasible pair.
 
-The risk surface is fitted under nonincreasing-partial-derivative constraints
-enforced on a finite grid, solved as a single l1 linear program.
-:func:`verify_monotone`, when called, re-checks monotonicity between those
-grid points on a finer grid.
+Both surfaces are tensor Bernstein polynomials on [0, 1]^2, each fitted as
+one l1 linear program.  The risk fit's coefficients may not rise along
+either axis, which makes the surface nonincreasing in lam and in alpha
+everywhere on the square, not only at chosen points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .mdp import MdpConfig, solve_horizons
 from .policy_eval import (ContinuousChargePolicy, PracticalMetrics, Scenario, TauDist,
@@ -33,41 +33,43 @@ class BetaSample:
     risk_se: float
 
 
-def _powers(degree: int) -> np.ndarray:
-    """Exponent pairs (i, j) with i + j <= degree, in graded order."""
-    return np.array([(i, j) for d in range(degree + 1)
-                     for i in range(d, -1, -1) for j in (d - i,)])
+def _bernstein(x: np.ndarray, degree: int) -> np.ndarray:
+    """Bernstein basis polynomials of `degree` on [0, 1] at x, one column each."""
+    k = np.arange(degree + 1)
+    binom = np.array([math.comb(degree, i) for i in k], dtype=float)
+    x = x[:, None]
+    return binom * x ** k * (1.0 - x) ** (degree - k)
 
 
-def _design(points: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    lam, alpha = points[:, 0:1], points[:, 1:2]
-    return lam ** powers[:, 0] * alpha ** powers[:, 1]
-
-
-def _derivative_design(points: np.ndarray, powers: np.ndarray, var: int) -> np.ndarray:
-    lam, alpha = points[:, 0:1], points[:, 1:2]
-    e = powers.astype(float).copy()
-    coef = e[:, var].copy()
-    e[:, var] = np.maximum(e[:, var] - 1.0, 0.0)
-    return coef * lam ** e[:, 0] * alpha ** e[:, 1]
+def _basis(lam: np.ndarray, alpha: np.ndarray, degree: int) -> np.ndarray:
+    """Tensor Bernstein basis at each (lam, alpha); column i * (degree + 1) + j
+    is b_i(lam) * b_j(alpha)."""
+    return (_bernstein(lam, degree)[:, :, None]
+            * _bernstein(alpha, degree)[:, None, :]).reshape(len(lam), -1)
 
 
 @dataclass(frozen=True)
 class MonotoneFit:
-    """Monomial-basis surface; a risk fit is nonincreasing in both variables
-    on the constraint grid by construction."""
+    """Tensor Bernstein surface sum coef[i, j] b_i(lam) b_j(alpha) on [0, 1]^2.
 
-    weights: np.ndarray
-    powers: np.ndarray
-    degree: int
+    A risk fit's coefficients do not rise along either axis (beyond the LP's
+    feasibility tolerance, about 1e-10), so the surface is nonincreasing in
+    lam and in alpha everywhere on the square."""
+
+    coef: np.ndarray  # (degree + 1, degree + 1), indexed (i_lam, i_alpha)
     l1_error: float
 
     def __call__(self, lam, alpha):
-        c = np.zeros((self.degree + 1, self.degree + 1))
-        c[self.powers[:, 0], self.powers[:, 1]] = self.weights
-        # polyval2d, broadcast: a lam column and an alpha row cost one pass per axis
-        return npoly.polyval(np.asarray(alpha, dtype=float),
-                             npoly.polyval(np.asarray(lam, dtype=float), c), tensor=False)
+        lam, alpha = np.asarray(lam, dtype=float), np.asarray(alpha, dtype=float)
+        shape = np.broadcast_shapes(lam.shape, alpha.shape)
+        c = self.coef.reshape(self.coef.shape + (1,) * len(shape))
+        # de Casteljau along lam, then along alpha: a lam column and an alpha
+        # row cost one pass per axis, and equal coefficients give their value exactly
+        for x in (lam, alpha):
+            while len(c) > 1:
+                c = c[:-1] + x * np.diff(c, axis=0)
+            c = c[0]
+        return np.broadcast_to(c, shape)
 
 
 def beta_grid(n_lambda: int, n_alpha: int) -> tuple[np.ndarray, np.ndarray]:
@@ -76,59 +78,43 @@ def beta_grid(n_lambda: int, n_alpha: int) -> tuple[np.ndarray, np.ndarray]:
                        indexing="ij")
 
 
-def default_constraint_grid(n: int = 50) -> np.ndarray:
-    ll, aa = beta_grid(n, n)
-    return np.column_stack([ll.ravel(), aa.ravel()])
+def fit(data: list[BetaSample], target: str, degree: int) -> MonotoneFit:
+    """l1 fit of the reward or risk observations in the tensor Bernstein basis.
 
-
-def fit(data: list[BetaSample], target: str, degree: int,
-        constraint_grid: np.ndarray | None = None) -> MonotoneFit:
-    """l1 polynomial fit of the reward or risk observations.
-
-    target="risk" enforces nonincreasing partial derivatives at every
-    constraint-grid point; target="reward" is unconstrained.
+    target="risk" keeps every coefficient at or below its predecessor along
+    each axis; target="reward" is unconstrained.
     """
     from scipy.optimize import linprog  # only the fits need scipy
     if target not in ("reward", "risk"):
         raise ValueError("target must be 'reward' or 'risk'")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    constrained = target == "risk"
-    points = np.array([[s.lam, s.alpha] for s in data])
-    obs = np.array([s.risk if constrained else s.reward for s in data])
-    powers = _powers(degree)
-    phi = _design(points, powers)
+    obs = np.array([s.risk if target == "risk" else s.reward for s in data])
+    # the basis sums to 1, so the median shifts every coefficient alike; flat
+    # data then fit to zero and come back as exactly equal coefficients
+    shift = float(np.median(obs))
+    y = obs - shift
+    phi = _basis(np.array([s.lam for s in data]), np.array([s.alpha for s in data]), degree)
     n, k = phi.shape
 
-    # minimize sum(e) s.t. -e <= phi w - obs <= e, derivative rows <= 0
+    # minimize sum(e) s.t. -e <= phi coef - y <= e, coefficient rises <= 0
     c = np.concatenate([np.zeros(k), np.ones(n)])
     eye = np.eye(n)
     rows = [np.hstack([phi, -eye]), np.hstack([-phi, -eye])]
-    rhs = [obs, -obs]
-    if constrained and degree >= 1:
-        if constraint_grid is None:
-            constraint_grid = default_constraint_grid()
-        for var in (0, 1):
-            d = _derivative_design(constraint_grid, powers, var)
-            rows.append(np.hstack([d, np.zeros((len(d), n))]))
-            rhs.append(np.zeros(len(d)))
+    rhs = [y, -y]
+    if target == "risk":
+        step, same = np.diff(np.eye(degree + 1), axis=0), np.eye(degree + 1)
+        rise = np.vstack([np.kron(step, same), np.kron(same, step)])
+        rows.append(np.hstack([rise, np.zeros((len(rise), n))]))
+        rhs.append(np.zeros(len(rise)))
+    # interior point: dual simplex returned no solution on some samples at degree 5
     res = linprog(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                  bounds=[(None, None)] * k + [(0, None)] * n, method="highs")
+                  bounds=[(None, None)] * k + [(0, None)] * n, method="highs-ipm")
     if not res.success:
         raise RuntimeError(f"l1 regression LP failed: {res.message}")
-    weights = res.x[:k]
-    err = float(np.abs(phi @ weights - obs).sum())
-    return MonotoneFit(weights, powers, degree, err)
-
-
-def verify_monotone(fit_: MonotoneFit, n: int = 200, tol: float = 1e-6) -> bool:
-    """Post-hoc check of nonincreasing partials on a finer grid."""
-    grid = default_constraint_grid(n)
-    for var in (0, 1):
-        d = _derivative_design(grid, fit_.powers, var) @ fit_.weights
-        if d.max(initial=0.0) > tol:
-            return False
-    return True
+    coef = res.x[:k]
+    err = float(np.abs(phi @ coef - y).sum())
+    return MonotoneFit(coef.reshape(degree + 1, degree + 1) + shift, err)
 
 
 @dataclass(frozen=True)
@@ -192,8 +178,7 @@ def solve_family(lam: float, alpha: float, cfg: MdpConfig, pm: PriceModelParams,
 
 def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
              tau_dist: TauDist, epsilons, n_paths: int, seed: int, p0: float,
-             degree: int = 10, constraint_grid: np.ndarray | None = None,
-             risk_kind: str = "indicator", delta: float = 0.3) -> PipelineResult:
+             degree: int = 8, risk_kind: str = "indicator", delta: float = 0.3) -> PipelineResult:
     """Three-step selection: estimate metrics for sampled betas, fit both
     surfaces, then solve and simulate the recommendation for each epsilon.
 
@@ -218,8 +203,8 @@ def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
         samples.append(BetaSample(float(lam), float(alpha), m.reward, m.reward_se,
                                   m.risk, m.risk_se))
 
-    reward_fit = fit(samples, "reward", degree, constraint_grid)
-    risk_fit = fit(samples, "risk", degree, constraint_grid)
+    reward_fit = fit(samples, "reward", degree)
+    risk_fit = fit(samples, "risk", degree)
 
     rows = []
     for eps, sel in zip(epsilons, select_beta(reward_fit, risk_fit, epsilons)):

@@ -178,10 +178,9 @@ def cmd_simulate(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg = _load(args)
     grid = cfg.build_grid()
-    cg = beta_search.default_constraint_grid(cfg.constraint_grid_n)
     result = beta_search.pipeline(
         cfg.sample_grid(), cfg.mdp, cfg.pm, grid, cfg.tau, cfg.epsilons,
-        cfg.n_paths, cfg.seed, cfg.p0, degree=cfg.degree, constraint_grid=cg,
+        cfg.n_paths, cfg.seed, cfg.p0, degree=cfg.degree,
         risk_kind=cfg.risk_kind, delta=cfg.delta)
 
     def pct(x, ref):

@@ -31,7 +31,6 @@ class ExperimentConfig:
     risk_kind: str
     delta: float
     degree: int
-    constraint_grid_n: int
     epsilons: tuple[float, ...]
     sample_lambdas: tuple[float, ...]
     sample_alphas: tuple[float, ...]
@@ -42,8 +41,7 @@ class ExperimentConfig:
         for field, value, low in (("grid_span", self.grid_span, 0),
                                   ("simulation.n_paths", self.n_paths, 2),
                                   ("simulation.seed", self.seed, 0),
-                                  ("beta_search.degree", self.degree, 0),
-                                  ("beta_search.constraint_grid_n", self.constraint_grid_n, 1)):
+                                  ("beta_search.degree", self.degree, 0)):
             if value is not None and value < low:
                 raise ConfigError(f"{field} must be >= {low}, got {value}")
 
@@ -73,7 +71,7 @@ FULL_SCALE = {
     "simulation": {"p0": 35.0, "n_paths": 100000, "seed": 42,
                    "risk_kind": "indicator", "delta": 0.3},
     "beta_search": {
-        "degree": 10, "constraint_grid_n": 50,
+        "degree": 8,
         "epsilons": [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.10],
         "sample_lambdas": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
         "sample_alphas": [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95],
@@ -96,7 +94,7 @@ DESK_SCALE = {
     "simulation": {"p0": 20.0, "n_paths": 1000, "seed": 7,
                    "risk_kind": "indicator", "delta": 0.3},
     "beta_search": {
-        "degree": 3, "constraint_grid_n": 20,
+        "degree": 2,
         "epsilons": [0.05, 0.15, 0.30],
         "sample_lambdas": [0.0, 0.5, 1.0],
         "sample_alphas": [0.1, 0.5, 0.9],
@@ -148,9 +146,8 @@ SCHEMA = {
     "simulation": {"p0": (NUMBER, REQUIRED), "n_paths": (INTEGER, REQUIRED),
                    "seed": (INTEGER, REQUIRED), "risk_kind": (STRING, "indicator"),
                    "delta": (NUMBER, 0.3)},
-    "beta_search": {"degree": (INTEGER, 10), "constraint_grid_n": (INTEGER, 50),
-                    "epsilons": (NUMBERS, [0.05]), "sample_lambdas": (NUMBERS, REQUIRED),
-                    "sample_alphas": (NUMBERS, REQUIRED)},
+    "beta_search": {"degree": (INTEGER, 8), "epsilons": (NUMBERS, [0.05]),
+                    "sample_lambdas": (NUMBERS, REQUIRED), "sample_alphas": (NUMBERS, REQUIRED)},
     "grid_span": (INTEGER_OR_NULL, None),
     "output_dir": (STRING, "out"),
 }

@@ -8,6 +8,7 @@ the implementations under test beyond the price model inputs.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -216,4 +217,24 @@ def simulate_path_by_path(policy: str, cfg: MdpConfig, pm: PriceModelParams, p0:
             actions.append(x)
             charges.append(r)
         out.append((prices, charges, actions))
+    return out
+
+
+def largest_rise(surface, n: int = 200) -> float:
+    """Largest rise of a fitted (lam, alpha) surface between neighbouring
+    points of an n x n grid over [0, 1] x [0.005, 0.995], along either axis.
+    It reads the surface's values only, not the coefficients behind them."""
+    z = surface(*np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.005, 0.995, n),
+                             indexing="ij"))
+    return float(max(np.diff(z, axis=0).max(), np.diff(z, axis=1).max()))
+
+
+def bernstein_sum(coef: np.ndarray, lam: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """sum_ij coef[i, j] C(d, i) lam^i (1 - lam)^(d - i) C(d, j) alpha^j (1 - alpha)^(d - j),
+    term by term from the definition."""
+    d = coef.shape[0] - 1
+    out = np.zeros(np.broadcast_shapes(np.shape(lam), np.shape(alpha)))
+    for i, j in itertools.product(range(d + 1), repeat=2):
+        out += (coef[i, j] * math.comb(d, i) * lam ** i * (1 - lam) ** (d - i)
+                * math.comb(d, j) * alpha ** j * (1 - alpha) ** (d - j))
     return out

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from evcharge.beta_search import fit, solve_family, verify_monotone
+from evcharge.beta_search import fit, solve_family
 from evcharge.cli import EXIT_OK, main
 from evcharge.config import DESK_SCALE, preset
 from evcharge.mdp import solve, verify_structure
@@ -25,7 +25,8 @@ from evcharge.policy_eval import (
 from evcharge.risk import RiskParams, RiskSchedule, mean_cvar_rows
 
 from conftest import DESK_PM, MICRO_PM, desk_cfg, micro_cfg, random_dist
-from oracles import cvar_grid_search, enumerate_policies_value, greedy_from_tables, risk_neutral_dp
+from oracles import (cvar_grid_search, enumerate_policies_value, greedy_from_tables, largest_rise,
+                     risk_neutral_dp)
 
 
 def report(num, name, passed, detail=""):
@@ -223,17 +224,17 @@ def test_criterion_8_monotone_regression():
         data.append(BetaSample(lam, alpha, v, 0.0, v, 0.0))
     f = fit(data, "risk", degree=3)
     per_point = f.l1_error / len(data)
-    monotone = verify_monotone(f, n=200, tol=1e-6)
-    report(8, "monotone regression", per_point <= 0.015 and monotone,
-           f"l1 error {per_point:.4f}/pt, monotone={monotone}")
+    # the surface on a 200 x 200 grid, not the fit's coefficients, must not rise
+    rise = largest_rise(f, n=200)
+    report(8, "monotone regression", per_point <= 0.015 and rise <= 1e-9,
+           f"l1 error {per_point:.4f}/pt, largest rise {rise:.1e}")
 
 
 def test_criterion_9_pipeline_determinism(tmp_path):
     raw = copy.deepcopy(DESK_SCALE)
     raw["simulation"]["n_paths"] = 50
     raw["tau"] = {"horizons": [2, 3], "probs": [0.5, 0.5]}
-    raw["beta_search"] = {"degree": 2, "constraint_grid_n": 10,
-                          "epsilons": [0.1, 0.5],
+    raw["beta_search"] = {"degree": 2, "epsilons": [0.1, 0.5],
                           "sample_lambdas": [0.0, 1.0],
                           "sample_alphas": [0.2, 0.8]}
     cfg_path = tmp_path / "cfg.yaml"

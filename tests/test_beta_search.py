@@ -1,23 +1,21 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from evcharge import beta_search, mdp
-from evcharge.beta_search import (
-    BetaSample,
-    MonotoneFit,
-    default_constraint_grid,
-    fit,
-    pipeline,
-    select_beta,
-    verify_monotone,
-)
-from evcharge.config import preset
+from evcharge.beta_search import BetaSample, MonotoneFit, fit, pipeline, select_beta
+from evcharge.config import DESK_SCALE, FULL_SCALE, from_dict, preset
 from evcharge.mdp import solve
 from evcharge.policy_eval import TauDist
 from evcharge.price_model import PriceGrid
 from evcharge.risk import RiskParams, RiskSchedule
+
+from oracles import bernstein_sum, largest_rise
+
+# a fitted risk surface may rise by LP rounding only
+RISE_TOL = 1e-9
 
 
 def make_samples(func, n=100, seed=0, noise=0.0):
@@ -34,6 +32,10 @@ def make_samples(func, n=100, seed=0, noise=0.0):
 
 def plane(lam, alpha):
     return 1.0 - 0.5 * lam - 0.3 * alpha
+
+
+def falling(lam, alpha):
+    return 0.9 - 0.4 * lam - 0.3 * alpha - 0.1 * lam * alpha
 
 
 class TestFit:
@@ -54,6 +56,7 @@ class TestFit:
                 BetaSample(0.9, 0.9, 10.0, 0, 10.0, 0)]
         f = fit(data, "reward", degree=0)
         # l1 best constant is the median
+        assert f.coef.shape == (1, 1)
         assert float(f(0.3, 0.3)) == pytest.approx(2.0, abs=1e-8)
 
     def test_risk_fit_monotone_against_increasing_data(self):
@@ -64,19 +67,27 @@ class TestFit:
 
         data = make_samples(rising, n=80, seed=1)
         constrained = fit(data, "risk", degree=3)
-        assert verify_monotone(constrained)
+        assert largest_rise(constrained) <= RISE_TOL
         unconstrained = fit(data, "reward", degree=3)
+        assert largest_rise(unconstrained) > 0.001
         assert constrained.l1_error >= unconstrained.l1_error
         assert constrained.l1_error > 1.0  # genuinely binding
 
     def test_monotone_on_noisy_decreasing_surface(self):
-        def falling(lam, alpha):
-            return 0.9 - 0.4 * lam - 0.3 * alpha - 0.1 * lam * alpha
-
         data = make_samples(falling, n=100, seed=2, noise=0.01)
         f = fit(data, "risk", degree=3)
-        assert verify_monotone(f)
+        assert largest_rise(f) <= RISE_TOL
         assert f.l1_error / len(data) <= 0.015
+
+    @pytest.mark.parametrize("degree", [3, 8])
+    def test_risk_coefficients_fall_along_both_axes(self, degree):
+        data = make_samples(falling, n=100, seed=4, noise=0.05)
+        f = fit(data, "risk", degree)
+        assert f.coef.shape == (degree + 1, degree + 1)
+        for axis in (0, 1):
+            assert np.diff(f.coef, axis=axis).max() <= RISE_TOL
+        # the noise makes the unconstrained coefficients rise, so the rows bind
+        assert np.diff(fit(data, "reward", degree).coef, axis=1).max() > RISE_TOL
 
     def test_validation(self):
         data = make_samples(plane, n=10)
@@ -86,40 +97,90 @@ class TestFit:
             fit(data, "reward", degree=-1)
 
 
-class TestVerifyMonotone:
-    def test_detects_increase(self):
-        powers = np.array([(0, 0), (1, 0), (0, 1)])
-        rising = MonotoneFit(np.array([0.0, 1.0, 0.0]), powers, 1, 0.0)
-        assert not verify_monotone(rising)
-        falling = MonotoneFit(np.array([1.0, -1.0, -0.5]), powers, 1, 0.0)
-        assert verify_monotone(falling)
+def full_scale_samples(reward, risk):
+    return [BetaSample(lam, alpha, reward, 0.0, risk, 0.0)
+            for lam, alpha in preset("full_scale").sample_grid()]
+
+
+def test_flat_fit_is_exactly_flat_and_keeps_the_tie_break():
+    # every sampled beta earning the same reward at zero risk must leave every
+    # grid point tied, so that select_beta breaks the tie to (0, 0.005)
+    cfg = preset("full_scale")
+    data = full_scale_samples(1.857672, 0.0)
+    assert len(data) == 110
+    reward, risk = fit(data, "reward", 8), fit(data, "risk", 8)
+    ll, aa = beta_search.beta_grid(201, 199)
+    assert np.all(reward(ll[:, :1], aa[0]) == 1.857672)
+    assert np.all(risk(ll[:, :1], aa[0]) == 0.0)
+    for eps, sel in zip(cfg.epsilons, select_beta(reward, risk, cfg.epsilons)):
+        assert (sel.lam, sel.alpha, sel.feasible) == (0.0, 0.005, True), eps
+
+
+def pipeline_desk_samples(seed):
+    """The sampled betas of the desk preset run with the full-scale
+    beta_search block from p0 = 30, where the sampled rewards differ."""
+    raw = copy.deepcopy(DESK_SCALE)
+    raw["beta_search"] = copy.deepcopy(FULL_SCALE["beta_search"])
+    raw["simulation"].update(p0=30.0, seed=seed)
+    cfg = from_dict(raw)
+    result = pipeline(cfg.sample_grid(), cfg.mdp, cfg.pm, cfg.build_grid(), cfg.tau,
+                      cfg.epsilons, cfg.n_paths, cfg.seed, cfg.p0, degree=0)
+    return list(result.samples)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_fit_succeeds_at_every_degree(seed):
+    # the dual simplex method stopped on numerical difficulties at degree 5
+    # on these samples; the fit must solve every LP it builds
+    data = pipeline_desk_samples(seed)
+    assert len({s.reward for s in data}) > 1
+    for degree in range(1, 11):
+        reward, risk = fit(data, "reward", degree), fit(data, "risk", degree)
+        for f in (reward, risk):
+            assert f.coef.shape == (degree + 1, degree + 1)
+            assert np.isfinite(f.l1_error)
+        assert largest_rise(risk) <= RISE_TOL
+
+
+@pytest.mark.parametrize("name", ["full_scale", "desk_scale"])
+def test_preset_basis_has_full_rank_on_its_samples(name):
+    # a rank-deficient basis leaves the l1 fit free between the samples,
+    # where select_beta reads it
+    cfg = preset(name)
+    lam, alpha = np.array(cfg.sample_grid()).T
+    basis = beta_search._basis(lam, alpha, cfg.degree)
+    assert basis.shape == (len(lam), (cfg.degree + 1) ** 2)
+    assert np.linalg.matrix_rank(basis) == basis.shape[1]
+
+
+def test_largest_rise_detects_increase():
+    assert largest_rise(linear_fit(0.0, 1.0, 0.0)) > RISE_TOL
+    assert largest_rise(linear_fit(1.0, -1.0, -0.5)) <= 0.0
 
 
 def const_fit(value):
-    return MonotoneFit(np.array([value]), np.array([(0, 0)]), 0, 0.0)
+    return MonotoneFit(np.array([[value]]), 0.0)
 
 
 def linear_fit(c0, c_lam, c_alpha):
-    return MonotoneFit(np.array([c0, c_lam, c_alpha]),
-                       np.array([(0, 0), (1, 0), (0, 1)]), 1, 0.0)
+    # a bilinear surface's degree-1 coefficients are its corner values
+    return MonotoneFit(np.array([[c0, c0 + c_alpha], [c0 + c_lam, c0 + c_lam + c_alpha]]), 0.0)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 3, 10])
-def test_surface_on_column_and_row_is_polyval2d_on_the_meshgrid(degree):
+def test_surface_on_column_and_row_equals_the_meshgrid(degree):
     # select_beta evaluates a (lam column, alpha row) pair; each of its points
-    # takes the same Horner steps as polyval2d takes on the meshgrid
-    powers = beta_search._powers(degree)
-    surface = MonotoneFit(np.random.default_rng(degree).normal(size=len(powers)), powers,
-                          degree, 0.0)
-    c = np.zeros((degree + 1, degree + 1))
-    c[powers[:, 0], powers[:, 1]] = surface.weights
+    # takes the same de Casteljau steps as on the meshgrid, and a constant
+    # surface still fills the whole grid
+    surface = MonotoneFit(np.random.default_rng(degree).normal(size=(degree + 1, degree + 1)),
+                          0.0)
     ll, aa = beta_search.beta_grid(201, 199)
-    want = np.polynomial.polynomial.polyval2d(ll, aa, c)
+    want = surface(ll, aa)
     got = surface(ll[:, :1], aa[0])
-    assert got.shape == want.shape
+    assert got.shape == want.shape == ll.shape
     assert np.array_equal(got, want)
-    assert np.array_equal(surface(ll, aa), want)
     assert surface(ll[7, 0], aa[0, 9]) == want[7, 9]
+    np.testing.assert_allclose(want, bernstein_sum(surface.coef, ll, aa), rtol=0, atol=1e-12)
 
 
 class TestSelectBeta:
@@ -154,23 +215,21 @@ class TestSelectBeta:
         assert sel.fitted_risk == pytest.approx(0.5)
 
     def test_all_epsilons_at_once_equal_one_at_a_time(self):
-        def falling(lam, alpha):
-            return 0.9 - 0.4 * lam - 0.3 * alpha - 0.1 * lam * alpha
-
         data = make_samples(falling, n=60, seed=3, noise=0.02)
         reward, risk = fit(data, "reward", degree=3), fit(data, "risk", degree=3)
-        epsilons = [-1.0, 0.1, 0.25, 0.4, 0.6, 0.85, 2.0]
+        # the surface's least value on the selection grid is 0.102, at (1, 0.995)
+        epsilons = [-1.0, 0.15, 0.25, 0.4, 0.6, 0.85, 2.0]
         together = select_beta(reward, risk, epsilons)
         assert together == tuple(select_beta(reward, risk, [e])[0] for e in epsilons)
         assert [s.feasible for s in together] == [False] + [True] * 6
         assert len({(s.lam, s.alpha) for s in together}) > 2
 
 
-def test_default_constraint_grid_shape():
-    g = default_constraint_grid(10)
-    assert g.shape == (100, 2)
-    assert g[:, 0].min() == 0.0 and g[:, 0].max() == 1.0
-    assert g[:, 1].min() == pytest.approx(0.005)
+def test_beta_grid_shape():
+    ll, aa = beta_search.beta_grid(10, 12)
+    assert ll.shape == aa.shape == (10, 12)
+    assert ll[:, 0].min() == 0.0 and ll[:, 0].max() == 1.0
+    assert aa[0].min() == pytest.approx(0.005) and aa[0].max() == pytest.approx(0.995)
 
 
 @pytest.mark.parametrize("sample_grid", [
@@ -189,7 +248,7 @@ def test_pipeline_solves_each_effective_beta_once(monkeypatch, sample_grid):
     monkeypatch.setattr(beta_search, "solve_family", counting)
     result = pipeline(sample_grid, cfg.mdp, cfg.pm, cfg.build_grid(),
                       TauDist((2, 3), np.array([0.5, 0.5])), [0.1, 0.5], 50, 3, 20.0,
-                      degree=1, constraint_grid=default_constraint_grid(5))
+                      degree=1)
     assert result.rn.n_paths == 50
     assert len(calls) == len(set(calls))
     # alpha plays no part at lam = 0: one risk-neutral solve, shared by the anchor

@@ -93,7 +93,6 @@ BAD_FIELDS = [
     ("mdp", "gamma_h", "abc", "mdp.gamma_h"),
     ("mdp", "gamma_y_cap", "abc", "mdp.gamma_y_cap"),
     ("mdp", "r0", 1.5, "mdp.r0"),
-    ("beta_search", "constraint_grid_n", 2.5, "beta_search.constraint_grid_n"),
     (None, "grid_span", 20.5, "grid_span"),
     # a non-string output directory wrote the CSVs under ./None or ./[1, 2]
     (None, "output_dir", None, "output_dir"),
@@ -115,6 +114,8 @@ BAD_FIELDS = [
     ("tau", "prob", [1.0], "unknown field tau.prob"),
     ("simulation", "risk_knd", "shortage", "unknown field simulation.risk_knd"),
     ("beta_search", "degre", 7, "unknown field beta_search.degre"),
+    # constraint_grid_n is not a field; a config that still carries it fails at load
+    ("beta_search", "constraint_grid_n", 50, "unknown field beta_search.constraint_grid_n"),
     (None, "gird_span", 3, "unknown field gird_span"),
     # a kind name that is not a string fails as such, not as an unknown kind
     ("mdp", "gamma_y_kind", 3, "mdp.gamma_y_kind must be a string"),
