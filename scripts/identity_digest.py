@@ -2,7 +2,7 @@
 """Fingerprints of the solver's tables and of every desk CLI output, for
 checking that a change leaves every result bit-identical.
 
-Each output line is ``<kind> <name> <sha256>``, except ``cvar`` lines.  A
+Each line is ``<kind> <name> <sha256>``, except ``cvar`` and ``fit`` lines.  A
 ``family`` line hashes the ``values``, ``post_values``, ``thresholds`` and
 ``fallback_rows`` of every horizon of one ``solve_family``: both presets at
 five betas, one family with x_max < r_max per preset, and one linear-capped
@@ -19,9 +19,16 @@ line per preset holds, in place of a hash, the four ``Scenario.score`` floats
 (reward, its SE, risk, its SE) of the lam=0.7:alpha=0.9 family and then of
 the never-charging policy on the start-price Scenario, comma-separated, with
 the risk the CVaR_0.9 of the compensation: a CVaR that sums in another order
-moves these by rounding only, so compare them by value.  A ``csv`` line hashes
-one file written by ``solve``, ``verify``, ``simulate --dump-paths 20``,
-``pipeline`` or ``price-check`` on the desk preset.
+moves these by rounding only, so compare them by value.  Both presets'
+sampled metrics are flat, so their fits are exact constants.  The ``fit``
+line holds the reward and risk ``l1_error`` and then the 10 selected
+(lambda, alpha) of one pipeline on the desk preset with the full-scale
+beta_search block from p0 = 30 at seed 7 (the benchmark's pipeline-desk
+config), whose degree-8 fits are real l1 LPs, comma-separated: the same LP
+posed or solved another way moves the errors within the solver's
+tolerance, so compare them by value too.  A ``csv`` line hashes one file
+written by ``solve``, ``verify``, ``simulate --dump-paths 20``, ``pipeline``
+or ``price-check`` on the desk preset.
 
 The package is imported from PYTHONPATH, so one copy of this script digests
 any checkout; diff the two outputs.  Digest both trees under the same
@@ -48,6 +55,7 @@ the post-decision values over every horizon, and whether the thresholds and
 
 import argparse
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import io
@@ -58,9 +66,9 @@ import tempfile
 import numpy as np
 
 from evcharge import mdp
-from evcharge.beta_search import solve_family
+from evcharge.beta_search import pipeline, solve_family
 from evcharge.cli import main as cli_main
-from evcharge.config import preset
+from evcharge.config import DESK_SCALE, FULL_SCALE, from_dict, preset
 from evcharge.policy_eval import ContinuousChargePolicy, NeverChargePolicy, Scenario
 from evcharge.risk import RiskParams, RiskSchedule
 
@@ -68,6 +76,7 @@ BETAS = [(0.0, 0.5), (0.3, 0.7), (0.7, 0.9), (1.0, 0.98), (0.5, 0.05)]
 SCORE_PATHS = 20_000
 WAITING_P0 = {"desk_scale": 30.0, "full_scale": 57.0}
 CVAR_POLICIES = ("lam=0.7:alpha=0.9", "never")
+FIT_P0, FIT_SEED = 30.0, 7
 TABLE_FIELDS = ("values", "post_values", "thresholds", "fallback_rows")
 CLI_STEPS = [["solve"], ["verify"], ["simulate", "--dump-paths", "20"], ["pipeline"],
              ["price-check"]]
@@ -138,6 +147,18 @@ def cvar_floats(scenario, policies) -> str:
     return ",".join(map(repr, floats))
 
 
+def fit_floats(cfg) -> str:
+    """reward and risk l1_error, then lambda and alpha of each selected row, of
+    one pipeline run on cfg, as comma-separated reprs."""
+    result = pipeline(cfg.sample_grid(), cfg.mdp, cfg.pm, cfg.build_grid(), cfg.tau,
+                      cfg.epsilons, cfg.n_paths, cfg.seed, cfg.p0, degree=cfg.degree,
+                      risk_kind=cfg.risk_kind, delta=cfg.delta)
+    floats = [result.reward_fit.l1_error, result.risk_fit.l1_error]
+    for row in result.rows:
+        floats += [row.lam, row.alpha]
+    return ",".join(map(repr, floats))
+
+
 def families(cfg):
     """(label, mdp config, lam, alpha) of every family digested on one preset."""
     for lam, alpha in BETAS:
@@ -189,6 +210,12 @@ def main(argv=None) -> int:
                 print(f"score {name}:p0={p0:g}:{label} {digest}")
             if p0 == cfg.p0:
                 print(f"cvar {name}:p0={p0:g} {cvar_floats(scenario, policies)}")
+
+    raw = copy.deepcopy(DESK_SCALE)
+    raw["beta_search"] = copy.deepcopy(FULL_SCALE["beta_search"])
+    raw["simulation"].update(p0=FIT_P0, seed=FIT_SEED)
+    cfg = from_dict(raw)
+    print(f"fit pipeline-desk:seed={cfg.seed}:degree={cfg.degree} {fit_floats(cfg)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         for step in CLI_STEPS:

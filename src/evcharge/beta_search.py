@@ -82,7 +82,10 @@ def fit(data: list[BetaSample], target: str, degree: int) -> MonotoneFit:
     """l1 fit of the reward or risk observations in the tensor Bernstein basis.
 
     target="risk" keeps every coefficient at or below its predecessor along
-    each axis; target="reward" is unconstrained.
+    each axis; target="reward" is unconstrained.  The LP takes the standard
+    form, one equality row per sample where -e <= phi coef - y <= e takes two,
+    and is solved by interior point: the dual simplex returns no solution on
+    some samples at degree 5, in either form.
     """
     from scipy.optimize import linprog  # only the fits need scipy
     if target not in ("reward", "risk"):
@@ -97,19 +100,15 @@ def fit(data: list[BetaSample], target: str, degree: int) -> MonotoneFit:
     phi = _basis(np.array([s.lam for s in data]), np.array([s.alpha for s in data]), degree)
     n, k = phi.shape
 
-    # minimize sum(e) s.t. -e <= phi coef - y <= e, coefficient rises <= 0
-    c = np.concatenate([np.zeros(k), np.ones(n)])
-    eye = np.eye(n)
-    rows = [np.hstack([phi, -eye]), np.hstack([-phi, -eye])]
-    rhs = [y, -y]
+    # minimize sum(u + v) s.t. phi coef + u - v = y, u, v >= 0, coefficient rises <= 0
+    A_ub = b_ub = None
     if target == "risk":
         step, same = np.diff(np.eye(degree + 1), axis=0), np.eye(degree + 1)
         rise = np.vstack([np.kron(step, same), np.kron(same, step)])
-        rows.append(np.hstack([rise, np.zeros((len(rise), n))]))
-        rhs.append(np.zeros(len(rise)))
-    # interior point: dual simplex returned no solution on some samples at degree 5
-    res = linprog(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                  bounds=[(None, None)] * k + [(0, None)] * n, method="highs-ipm")
+        A_ub, b_ub = np.hstack([rise, np.zeros((len(rise), 2 * n))]), np.zeros(len(rise))
+    res = linprog(np.concatenate([np.zeros(k), np.ones(2 * n)]), A_ub=A_ub, b_ub=b_ub,
+                  A_eq=np.hstack([phi, np.eye(n), -np.eye(n)]), b_eq=y,
+                  bounds=[(None, None)] * k + [(0, None)] * (2 * n), method="highs-ipm")
     if not res.success:
         raise RuntimeError(f"l1 regression LP failed: {res.message}")
     coef = res.x[:k]

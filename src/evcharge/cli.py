@@ -104,9 +104,7 @@ def cmd_verify(args) -> int:
     horizon = mcfg.horizon
     grid = cfg.build_grid()
 
-    rows = []
-    failed = False
-    sols = {}
+    rows, sols, failed = [], {}, False
     for lam in lambdas:
         for alpha in alphas:
             rp = _risk_params("--lambdas/--alphas", lam, alpha)
@@ -225,15 +223,12 @@ def cmd_price_check(args) -> int:
     _write_csv(os.path.join(cfg.output_dir, "noise_t0.csv"),
                ["value", "probability"], zip(dist.support, dist.probs))
 
-    failed = False
-    for t in range(cfg.pm.seas_period):
-        d = price_model.noise_dist(t, cfg.pm)
-        if abs(d.probs.sum() - 1.0) > 1e-12 or d.probs.min() < price_model.TRIM:
-            failed = True
+    dists = [price_model.noise_dist(t, cfg.pm) for t in range(cfg.pm.seas_period)]
+    failed = any(abs(d.probs.sum() - 1.0) > 1e-12 or d.probs.min() < price_model.TRIM
+                 for d in dists)
     # conditional mean drift E[P_1 | P_0 = p] - p must shrink with p on the interior
     drift = price_model.transition_matrix(0, cfg.pm, grid) @ grid.points - grid.points
-    if np.any(np.diff(drift[1:-1]) >= 1e-9):
-        failed = True
+    failed = failed or bool(np.any(np.diff(drift[1:-1]) >= 1e-9))
     print(f"grid: {len(grid)} points [{grid.points[0]:.0f}, {grid.points[-1]:.0f}]; "
           f"noise checks {'FAILED' if failed else 'passed'}")
     return EXIT_STRUCTURE if failed else EXIT_OK

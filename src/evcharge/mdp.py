@@ -196,6 +196,16 @@ class TransitionBand:
         return self.spans[b][2] + keep, row[keep]
 
 
+def _price_steps(v: np.ndarray, edge: float) -> np.ndarray:
+    """v[:, ip + 1] - v[:, ip] at [:, ip], with `edge` in the last column: one
+    subtraction over the raveled table, contiguous where v[:, 1:] - v[:, :-1]
+    strides row by row (the last column held the step from one row to the next)."""
+    out, flat = np.empty(v.shape), v.ravel()
+    np.subtract(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
+    out[:, -1] = edge
+    return out
+
+
 def _post_decision(v_next: np.ndarray, band: TransitionBand, kernel: list[np.ndarray],
                    rp: RiskParams, out: np.ndarray) -> int:
     """Write post[r~, ip], the mean-CVaR of V_{t+1}(r~, P_{t+1}) given P_t = grid[ip],
@@ -212,7 +222,8 @@ def _post_decision(v_next: np.ndarray, band: TransitionBand, kernel: list[np.nda
     n_p = v_next.shape[1]
     for (i0, i1, j0, j1), k in zip(band.spans, kernel):
         np.matmul(v_next[:, j0:j1], k, out=out[:, i0:i1])
-    dip = np.minimum(v_next[:, 1:] - v_next[:, :-1], 0.0).sum(axis=1)
+    steps = _price_steps(v_next, 0.0)
+    dip = np.minimum(steps, 0.0, out=steps).sum(axis=1)
     rows = np.flatnonzero(~(dip >= -GRID_ORDER_TOL / 2))
     if rows.size:
         v = v_next[rows]
@@ -335,37 +346,32 @@ class StructureReport:
         return "\n".join(lines)
 
 
-def _worst(diffs) -> tuple[float, tuple | None]:
-    """Largest violation (most negative entry, negated) over per-period difference
-    arrays and its first location (t, ...) in C order, as argmin over the stack
-    gives; one period at a time, since the stack outgrows the cache."""
-    worst, at = 0.0, None
-    for t, d in enumerate(diffs):
-        m = float(d.min(initial=np.inf))
-        if m < worst or m != m:
-            worst, at = m, (t, d)
-            if m != m:  # NaN: argmin stops at the first
-                break
-    if at is None:
-        return 0.0, None
-    t, d = at
-    return -worst, (t, *(int(i) for i in np.unravel_index(int(np.argmin(d)), d.shape)))
+def _worst(periods, n_checks: int) -> list[tuple[float, tuple | None]]:
+    """Per check, the largest violation (most negative entry, negated) over its
+    per-period difference arrays and its first location (t, ...) in C order, as
+    argmin over the stack gives.  periods yields each period's arrays, one per
+    check, so every check reads a period while it is in cache."""
+    found = [(0.0, None)] * n_checks
+    for t, diffs in enumerate(periods):
+        for c, d in enumerate(diffs):
+            m, worst = float(d.min(initial=np.inf)), found[c][0]
+            if worst == worst and (m < worst or m != m):  # past a NaN, argmin stops at the first
+                found[c] = m, (t, d)
+    return [(0.0, None) if at is None else
+            (-m, (at[0], *map(int, np.unravel_index(np.argmin(at[1]), at[1].shape))))
+            for m, at in found]
 
 
 def verify_structure(sol: MdpSolution, tolerance: float = 1e-9) -> StructureReport:
     """Check convexity in r, monotonicity in p, and threshold monotonicity."""
-    checks = []
-
-    # (a) discrete convexity of V_t(., p) in r: second differences >= -tol
-    worst, loc = _worst(np.diff(v, n=2, axis=0) for v in sol.values)
-    checks.append(CheckResult("value_convex_in_resource", worst <= tolerance, worst, loc))
-
-    # (b) V_t(r, .) nondecreasing in p for r < r_max
-    worst, loc = _worst(np.diff(v[:-1], axis=1) for v in sol.values)
-    checks.append(CheckResult("value_increasing_in_price", worst <= tolerance, worst, loc))
-
+    # (a) discrete convexity of V_t(., p) in r: second differences >= -tol, and
+    # (b) V_t(r, .) nondecreasing in p for r < r_max, both from one visit per period
+    (convex, convex_at), (rising, rising_at) = _worst(
+        ((np.diff(v, n=2, axis=0), _price_steps(v, np.inf)[:-1]) for v in sol.values), 2)
     # (c) thresholds nonincreasing in p, exactly (integer thresholds)
-    worst, loc = _worst(-np.diff(sol.thresholds, axis=1).astype(float))
-    checks.append(CheckResult("threshold_nonincreasing_in_price", worst <= 0, worst, loc))
-
-    return StructureReport(tuple(checks))
+    steps = np.diff(sol.thresholds, axis=1).astype(float)
+    ((falls, falls_at),) = _worst(((-d,) for d in steps), 1)
+    return StructureReport((
+        CheckResult("value_convex_in_resource", convex <= tolerance, convex, convex_at),
+        CheckResult("value_increasing_in_price", rising <= tolerance, rising, rising_at),
+        CheckResult("threshold_nonincreasing_in_price", falls <= 0, falls, falls_at)))

@@ -238,3 +238,35 @@ def bernstein_sum(coef: np.ndarray, lam: np.ndarray, alpha: np.ndarray) -> np.nd
         out += (coef[i, j] * math.comb(d, i) * lam ** i * (1 - lam) ** (d - i)
                 * math.comb(d, j) * alpha ** j * (1 - alpha) ** (d - j))
     return out
+
+
+def l1_fit_inequality_form(data, target: str, degree: int) -> float:
+    """Least l1 error of a tensor Bernstein surface of `degree` through the
+    samples' `target` ("reward" or "risk") observations, from the LP
+    min sum(e) s.t. -e <= phi coef - y <= e: two inequality rows per sample.
+    The risk adds one row per neighbouring pair, coef[i+1, j] <= coef[i, j]
+    and coef[i, j+1] <= coef[i, j].  The basis columns are built term by term
+    from the definition; y is the observations less their median, as the
+    basis sums to 1."""
+    from scipy.optimize import linprog
+    lam, alpha, obs = (np.array([getattr(s, a) for s in data]) for a in ("lam", "alpha", target))
+    d = degree
+    phi = np.column_stack([math.comb(d, i) * lam ** i * (1 - lam) ** (d - i)
+                           * math.comb(d, j) * alpha ** j * (1 - alpha) ** (d - j)
+                           for i, j in itertools.product(range(d + 1), repeat=2)])
+    y = obs - np.median(obs)
+    n, k = phi.shape
+    rows = [np.hstack([phi, -np.eye(n)]), np.hstack([-phi, -np.eye(n)])]
+    if target == "risk":
+        for i, j in itertools.product(range(d + 1), repeat=2):
+            for i1, j1 in ((i + 1, j), (i, j + 1)):
+                if i1 <= d and j1 <= d:
+                    row = np.zeros((1, k + n))
+                    row[0, i1 * (d + 1) + j1], row[0, i * (d + 1) + j] = 1.0, -1.0
+                    rows.append(row)
+    A_ub = np.vstack(rows)
+    b_ub = np.concatenate([y, -y, np.zeros(len(A_ub) - 2 * n)])
+    res = linprog(np.concatenate([np.zeros(k), np.ones(n)]), A_ub=A_ub, b_ub=b_ub,
+                  bounds=[(None, None)] * k + [(0, None)] * n, method="highs-ipm")
+    assert res.success, res.message
+    return float(np.abs(phi @ res.x[:k] - y).sum())

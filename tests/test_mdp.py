@@ -408,6 +408,33 @@ def test_window_min_at_every_width():
             assert_window_min(table, width)
 
 
+def assert_price_steps(table, edge):
+    # one subtraction over the raveled table gives np.diff along each row bit for
+    # bit, the sign of a zero step included; the last column holds `edge`, not the
+    # step from one row to the next
+    with np.errstate(invalid="ignore"):  # inf - inf, as np.diff gives it
+        got, want = mdp._price_steps(table, edge), np.diff(table, axis=1)
+    assert got.shape == table.shape and np.all(got[:, -1] == edge)
+    assert np.array_equal(got[:, :-1], want, equal_nan=True)
+    assert np.all((np.signbit(got[:, :-1]) == np.signbit(want)) | np.isnan(want))
+
+
+@given(data=st.data(), n=st.integers(1, 6), m=st.integers(1, 9),
+       edge=st.sampled_from([0.0, np.inf]))
+@settings(max_examples=300, deadline=None)
+def test_price_steps_are_the_row_differences(data, n, m, edge):
+    table = np.array(data.draw(st.lists(WINDOW_ENTRIES, min_size=n * m, max_size=n * m),
+                               label="table")).reshape(n, m)
+    assert_price_steps(table, edge)
+    assert_price_steps(table.T, edge)  # not contiguous: ravel copies
+
+
+def test_price_steps_between_every_pair_of_ties():
+    table = np.array([[a, b, b] for a in TIES for b in TIES])
+    for edge in (0.0, np.inf):
+        assert_price_steps(table, edge)
+
+
 class TestStructure:
     @pytest.mark.parametrize("lam,alpha", [(0.0, 0.5), (1.0, 0.95), (0.5, 0.8)])
     def test_structure_passes(self, desk_pm, desk_grid, lam, alpha):

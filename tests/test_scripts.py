@@ -58,7 +58,7 @@ def test_identity_digest():
         saved = sorted(os.listdir(tables))
     lines = [line.split(" ") for line in proc.stdout.splitlines()]
     assert all(len(parts) == 3 for parts in lines)
-    assert all(len(parts[2]) == 64 for parts in lines if parts[0] != "cvar")
+    assert all(len(parts[2]) == 64 for parts in lines if parts[0] not in ("cvar", "fit"))
     names = [(kind, name) for kind, name, _ in lines]
     assert len(set(names)) == len(names)
     assert sum(kind == "family" for kind, _ in names) == 14
@@ -83,6 +83,14 @@ def test_identity_digest():
             if kind == "cvar"}
     assert set(cvar) == {"desk_scale:p0=20", "full_scale:p0=35"}
     assert all(len(floats) == 8 and floats[6] > 0.0 for floats in cvar.values())
+    # the pipeline-desk fit: reward and risk l1 errors, then (lam, alpha) per epsilon
+    fits = {name: [float(x) for x in value.split(",")] for kind, name, value in lines
+            if kind == "fit"}
+    assert list(fits) == ["pipeline-desk:seed=7:degree=8"]
+    floats = fits["pipeline-desk:seed=7:degree=8"]
+    assert len(floats) == 22 and floats[0] > 0.0 and floats[1] >= 0.0
+    assert all(0.0 <= lam <= 1.0 and 0.005 <= alpha <= 0.995
+               for lam, alpha in zip(floats[2::2], floats[3::2]))
     assert {name for kind, name in names if kind == "csv"} == {
         "solve/thresholds.csv", "solve/values_t0.csv", "verify/structure_report.csv",
         "simulate/metrics.csv", "simulate/trajectories.csv", "pipeline/beta_path.csv",
