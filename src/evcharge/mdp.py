@@ -60,6 +60,8 @@ class MdpConfig:
             raise ValueError("horizon must be >= 1")
         if self.p_ref < 0:
             raise ValueError("p_ref must be >= 0")
+        if self.gamma_h < 0:
+            raise ValueError("gamma_h must be >= 0")
         if self.gamma_y_kind not in ("softplus", "linear-capped"):
             raise ValueError(f"unknown gamma_y_kind {self.gamma_y_kind!r}")
         if self.gamma_y_cap < 0:
@@ -188,13 +190,6 @@ class TransitionBand:
         nondecreasing in price.  K_t is 0 wherever P_t is, in a block or outside."""
         return self.blocks(mean_cvar_weights(self.probs, self.cum, rp))
 
-    def support(self, ip: int) -> tuple[np.ndarray, np.ndarray]:
-        """The columns where row ip of P_t is nonzero, ascending, and P_t there."""
-        b, i = divmod(ip, BLOCK_ROWS)
-        row = self.blocks(self.probs)[b][:, i]
-        keep = np.flatnonzero(row)
-        return self.spans[b][2] + keep, row[keep]
-
 
 def _price_steps(v: np.ndarray, edge: float) -> np.ndarray:
     """v[:, ip + 1] - v[:, ip] at [:, ip], with `edge` in the last column: one
@@ -229,9 +224,11 @@ def _post_decision(v_next: np.ndarray, band: TransitionBand, kernel: list[np.nda
         v = v_next[rows]
         rows = rows[(np.maximum.accumulate(v, axis=1) - v > GRID_ORDER_TOL).any(axis=1)]
     if rows.size:
-        for ip in range(n_p):
-            keep, probs = band.support(ip)
-            out[rows, ip] = mean_cvar_rows(v_next[np.ix_(rows, keep)], probs, rp)
+        # each price on the columns where its row of P_t is nonzero, ascending
+        for (i0, i1, j0, j1), block in zip(band.spans, band.blocks(band.probs)):
+            for ip, row in zip(range(i0, i1), block.T):
+                keep = np.flatnonzero(row)
+                out[rows, ip] = mean_cvar_rows(v_next[np.ix_(rows, j0 + keep)], row[keep], rp)
     return rows.size * n_p
 
 

@@ -100,11 +100,11 @@ class DiscreteDist:
 
 @dataclass(frozen=True)
 class PriceGrid:
-    """Uniform grid of admissible spot-price states.  It holds the tables that
-    solves on it share (see :meth:`tables`), so points is a read-only copy."""
+    """Grid of admissible spot-price states, one unit apart.  It holds the tables
+    that solves on it share (see :meth:`tables`), so points is a read-only copy."""
 
+    step = 1.0  # spacing of the points, $/MWh
     points: np.ndarray
-    step: float = 1.0
     _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -158,6 +158,7 @@ def noise_dist(t: int, params: PriceModelParams) -> DiscreteDist:
     w1 = params.jump_prob
     w0 = 1.0 - w1
 
+    # past the window lies less than Phi(-8) of each component, far below TRIM
     span = 1.0 + 8.0 * max(std0 if w0 > 0 else 0.0, std1 if w1 > 0 else 0.0)
     lo = int(np.floor(drift + min(0.0, params.mu_J) - span))
     hi = int(np.ceil(drift + max(0.0, params.mu_J) + span))
@@ -169,9 +170,6 @@ def noise_dist(t: int, params: PriceModelParams) -> DiscreteDist:
         probs += w0 * _interval_mass(drift, std0, edges)
     if w1 > 0:
         probs += w1 * _interval_mass(drift + params.mu_J, std1, edges)
-    # tail mass beyond the enumeration window folds onto the end bins
-    probs[0] += max(0.0, 1.0 - probs.sum()) / 2.0
-    probs[-1] += max(0.0, 1.0 - probs.sum())
 
     keep = probs >= TRIM
     if not keep.any():

@@ -13,8 +13,41 @@ import math
 import numpy as np
 
 from evcharge.mdp import MWH_PER_KWH, MdpConfig
-from evcharge.price_model import PriceGrid, PriceModelParams, next_price_dist, noise_dist
+from evcharge.price_model import TRIM, PriceGrid, PriceModelParams, next_price_dist, noise_dist
 from evcharge.risk import RiskParams, RiskSchedule
+
+
+def noise_dist_fold_and_trim(t: int, params: PriceModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(support, probs) of the one-step noise at period t: each integer k gets
+    the mixture mass of (k - 1/2, k + 1/2] over a window reaching 1 + 8 std past
+    each component's mean, the mass beyond the window is folded half onto each
+    end bin, atoms below TRIM are dropped (all but the largest, if none is
+    kept) and the rest renormalized.  Each normal CDF is erfc(-x / sqrt(2)) / 2,
+    one math.erfc call per edge."""
+    drift = params.noise_drift(t)
+    std0 = math.sqrt(params.diffusion_var)
+    std1 = math.sqrt(params.diffusion_var + params.sigma_J ** 2)
+    parts = [(w, mean, std) for w, mean, std in ((1.0 - params.jump_prob, drift, std0),
+                                                  (params.jump_prob, drift + params.mu_J, std1))
+             if w > 0]
+    span = 1.0 + 8.0 * max(std for _, _, std in parts)
+    lo = math.floor(drift + min(0.0, params.mu_J) - span)
+    hi = math.ceil(drift + max(0.0, params.mu_J) + span)
+    support = np.arange(lo, hi + 1, dtype=float)
+    edges = np.append(support - 0.5, support[-1] + 0.5)
+    probs = np.zeros(len(support))
+    for w, mean, std in parts:
+        if std > 0.0:
+            cdf = np.array([0.5 * math.erfc((mean - e) / std * math.sqrt(0.5)) for e in edges])
+            probs += w * np.diff(cdf)
+        else:  # a point mass in the bin (k - 1/2, k + 1/2] that holds the mean
+            probs += w * ((edges[:-1] < mean) & (mean <= edges[1:]))
+    probs[0] += max(0.0, 1.0 - probs.sum()) / 2.0
+    probs[-1] += max(0.0, 1.0 - probs.sum())
+    keep = probs >= TRIM
+    if not keep.any():
+        keep[np.argmax(probs)] = True
+    return support[keep], probs[keep] / probs[keep].sum()
 
 
 def cvar_grid_search(values: np.ndarray, probs: np.ndarray, alpha: float) -> float:

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -104,6 +105,13 @@ BAD_FIELDS = [
     ("mdp", "r_max", 0, "mdp: r_max"),
     # a negative cap pays a negative linear-capped compensation rate
     ("mdp", "gamma_y_cap", -2.0, "mdp: gamma_y_cap"),
+    # range errors of the price model, raised by PriceModelParams
+    ("price_model", "kappa_Y", 0, "price_model: kappa_Y"),
+    ("price_model", "sigma_Y", -1, "price_model: sigma_Y"),
+    ("price_model", "seas_period", 0, "price_model: seas_period"),
+    # a negative gamma_h makes V concave in the charge, so verify failed the
+    # convexity check while solve, simulate and pipeline ran on
+    ("mdp", "gamma_h", -0.05, "mdp: gamma_h"),
     # delta < 0 puts every path at risk, delta > 1 none
     ("simulation", "delta", -0.5, "simulation.delta"),
     ("simulation", "delta", 1.5, "simulation.delta"),
@@ -252,6 +260,37 @@ class TestCli:
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("x_max,code", [(12, EXIT_STRUCTURE), (3, EXIT_OK)],
+                             ids=["fast", "slow"])
+    def test_verify_threshold_falling_in_beta(self, tmp_path, capsys, monkeypatch, x_max, code):
+        # thresholds shifted down as lambda rises: every per-beta check still
+        # passes, and only the cross-beta row fails, binding in the fast regime
+        real = mdp.solve
+
+        def falling(cfg, beta, pm, grid):
+            sol = real(cfg, beta, pm, grid)
+            shift = round(100 * (1 - beta[0].lam))
+            return dataclasses.replace(sol, thresholds=sol.thresholds + shift)
+
+        monkeypatch.setattr(mdp, "solve", falling)
+        raw = small_raw()
+        raw["mdp"]["x_max"] = x_max
+        out = tmp_path / "out"
+        assert main(["verify", "--config", write_cfg(tmp_path, raw), "--horizon", "2",
+                     "--lambdas", "0,1", "--alphas", "0.5", "--out-dir", str(out)]) == code
+        with open(out / "structure_report.csv") as fh:
+            failed = [r["check"] for r in csv.DictReader(fh) if r["status"] == "fail"]
+        name = "threshold_nondecreasing_in_beta" + ("" if x_max == 12 else "_info")
+        assert failed == [name]
+        assert f"{name} lam=- alpha=-: fail" in capsys.readouterr().out
+
+    def test_config_file_not_a_mapping(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("- price_model\n- mdp\n")
+        code = main(["solve", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"config file {path} is not a mapping" in capsys.readouterr().err
+
     def test_missing_field_exit_code(self, tmp_path, capsys):
         raw = small_raw()
         del raw["price_model"]["kappa_Y"]
@@ -289,7 +328,7 @@ class TestCli:
         monkeypatch.setattr(price_model, "transition_matrix", doubling)
         code = main(["price-check", "--preset", "desk_scale", "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_STRUCTURE
-        assert "noise checks FAILED" in capsys.readouterr().out
+        assert "drift check FAILED" in capsys.readouterr().out
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_STRUCTURE}) == 4

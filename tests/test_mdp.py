@@ -649,14 +649,6 @@ class TestTransitionBand:
                 reach = np.flatnonzero(trans[i0:i1].any(axis=0))
                 assert (j0, j1) == (reach[0], reach[-1] + 1), (name, phase)
 
-    def test_support_is_the_rows_nonzeros(self):
-        for name, phase, trans in preset_transitions():
-            band = TransitionBand.of(trans)
-            for ip, row in enumerate(trans):
-                cols, probs = band.support(ip)
-                np.testing.assert_array_equal(cols, np.flatnonzero(row))
-                assert probs.tobytes() == row[row > 0].tobytes(), (name, phase, ip)
-
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     def test_post_decision_equals_the_dense_product(self, lam):
         rp = RiskParams(lam, 0.8)

@@ -16,6 +16,7 @@ from evcharge.price_model import (
 )
 
 from conftest import DESK_PM, FULL_PM
+from oracles import noise_dist_fold_and_trim
 
 
 def test_seasonality_calibrated_coefficients(full_pm):
@@ -98,6 +99,30 @@ def test_noise_dist_matches_the_ndtr_reference(pm, monkeypatch):
         np.testing.assert_array_equal(d.support, ref.support)
         np.testing.assert_allclose(d.probs, ref.probs, rtol=0, atol=1e-15)
     assert auto == len(build_grid(pm))
+
+
+# (sigma_Y, sigma_J, jump_prob): zero-std components, a certain or absent jump,
+# and a noise so wide that every atom falls below TRIM
+NOISE_CASES = ([(sy, sj, q) for sy in (0.0, 0.5, 5.35) for sj in (0.0, 6.0, 40.602)
+                for q in (0.0, 0.131, 1.0)]
+               + [(400.0, 0.0, 0.0), (0.0, 400.0, 1.0), (400.0, 400.0, 0.5)])
+
+
+def test_noise_dist_matches_the_fold_and_trim_reference():
+    # the mass beyond the window is below Phi(-8) per end bin, far below TRIM,
+    # so the trim drops both end bins whatever a fold would add to them
+    cases = [(pm, t) for pm in (DESK_PM, FULL_PM) for t in range(pm.seas_period)]
+    cases += [(PriceModelParams(kappa_Y=0.341, mu_Y=0.3, sigma_Y=sy, mu_J=mu_j, sigma_J=sj,
+                                jump_prob=q, seas_a=3.0, seas_b=-1.0, seas_c=20.0,
+                                seas_period=12), t)
+              for sy, sj, q in NOISE_CASES for mu_j in (-0.484, 7.5) for t in (0, 5)]
+    for pm, t in cases:
+        d = noise_dist(t, pm)
+        support, probs = noise_dist_fold_and_trim(t, pm)
+        assert d.support.tobytes() == support.tobytes(), (pm, t)
+        assert d.probs.tobytes() == probs.tobytes(), (pm, t)
+        if max(pm.sigma_Y, pm.sigma_J) == 400.0:
+            assert len(d.support) == 1, (pm, t)  # no atom reached TRIM; the largest is kept
 
 
 def test_discrete_dist_validation():
