@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import MdpConfig, solve_horizons
+from .mdp import MdpConfig, batches, solve_horizons
 from .policy_eval import (ContinuousChargePolicy, PracticalMetrics, Scenario, TauDist,
                           ThresholdPolicyFamily)
 from .price_model import PriceGrid, PriceModelParams
@@ -172,7 +172,7 @@ def solve_family(lam: float, alpha: float, cfg: MdpConfig, pm: PriceModelParams,
     """Solve the MDP at every reservation length needed by the tau distribution,
     in one backward sweep (see mdp.solve_horizons)."""
     beta = RiskSchedule.homogeneous(lam, alpha, max(int(T) for T in horizons))
-    return ThresholdPolicyFamily(solve_horizons(cfg, beta, pm, grid, horizons))
+    return ThresholdPolicyFamily(solve_horizons(cfg, [beta], pm, grid, horizons)[0])
 
 
 def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
@@ -183,33 +183,36 @@ def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
 
     What no beta changes is built once: the grid holds the solver's tables for
     every family, and one Scenario scores every family and the Default.  Each
-    distinct effective beta is solved and scored once.  Alpha plays no part
-    when lam = 0, so every risk-neutral pair, the RN anchor included, shares
-    one evaluation."""
+    distinct effective beta is solved and scored once, the samples' in one
+    round of batched sweeps and the selections' not yet solved in a second
+    (see mdp.batches).  Alpha plays no part when lam = 0, so every
+    risk-neutral pair, the RN anchor included, shares one evaluation."""
     scenario = Scenario.sample(tau_dist, pm, p0, n_paths, seed)
+    horizon = max(int(T) for T in tau_dist.horizons)
     cache: dict[tuple[float, float], PracticalMetrics] = {}
 
-    def measure(lam, alpha):
-        key = (float(lam), float(alpha)) if lam > 0 else (0.0, 0.5)
-        if key not in cache:
-            family = solve_family(*key, cfg, pm, grid, tau_dist.horizons)
-            cache[key] = scenario.score(family, cfg, risk_kind=risk_kind, delta=delta)
-        return cache[key]
+    def measure(pairs) -> list[PracticalMetrics]:
+        keys = [(float(lam), float(alpha)) if lam > 0 else (0.0, 0.5) for lam, alpha in pairs]
+        for run in batches([k for k in dict.fromkeys(keys) if k not in cache],
+                           cfg, grid, tau_dist.horizons):
+            betas = [RiskSchedule.homogeneous(lam, alpha, horizon) for lam, alpha in run]
+            # scored in the statement that solves them: no family outlives its batch
+            cache.update(zip(run, [
+                scenario.score(ThresholdPolicyFamily(sols), cfg, risk_kind=risk_kind, delta=delta)
+                for sols in solve_horizons(cfg, betas, pm, grid, tau_dist.horizons)]))
+        return [cache[k] for k in keys]
 
-    samples = []
-    for lam, alpha in sample_grid:
-        m = measure(lam, alpha)
-        samples.append(BetaSample(float(lam), float(alpha), m.reward, m.reward_se,
-                                  m.risk, m.risk_se))
+    sample_grid = list(sample_grid)
+    samples = [BetaSample(float(lam), float(alpha), m.reward, m.reward_se, m.risk, m.risk_se)
+               for (lam, alpha), m in zip(sample_grid, measure(sample_grid))]
 
     reward_fit = fit(samples, "reward", degree)
     risk_fit = fit(samples, "risk", degree)
 
-    rows = []
-    for eps, sel in zip(epsilons, select_beta(reward_fit, risk_fit, epsilons)):
-        m = measure(sel.lam, sel.alpha)
-        rows.append(SelectionRow(float(eps), sel.lam, sel.alpha, sel.feasible,
-                                 m.reward, m.reward_se, m.risk, m.risk_se))
+    selected = select_beta(reward_fit, risk_fit, epsilons)
+    rn, *chosen = measure([(0.0, 0.5)] + [(sel.lam, sel.alpha) for sel in selected])
+    rows = [SelectionRow(float(eps), sel.lam, sel.alpha, sel.feasible,
+                         m.reward, m.reward_se, m.risk, m.risk_se)
+            for eps, sel, m in zip(epsilons, selected, chosen)]
     default = scenario.score(ContinuousChargePolicy(cfg), cfg, risk_kind=risk_kind, delta=delta)
-    return PipelineResult(tuple(samples), reward_fit, risk_fit, tuple(rows),
-                          measure(0.0, 0.5), default)
+    return PipelineResult(tuple(samples), reward_fit, risk_fit, tuple(rows), rn, default)

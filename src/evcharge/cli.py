@@ -104,17 +104,18 @@ def cmd_verify(args) -> int:
     horizon = mcfg.horizon
     grid = cfg.build_grid()
 
-    rows, sols, failed = [], {}, False
-    for lam in lambdas:
-        for alpha in alphas:
-            rp = _risk_params("--lambdas/--alphas", lam, alpha)
-            beta = RiskSchedule((rp,) * (horizon + 1))
-            sols[(lam, alpha)] = sol = mdp.solve(mcfg, beta, cfg.pm, grid)
-            report = mdp.verify_structure(sol, tolerance=args.tolerance)
-            for c in report.checks:
-                rows.append((c.name, lam, alpha, horizon,
-                             "pass" if c.passed else "fail", c.worst_violation))
-                failed = failed or not c.passed
+    pairs = [(lam, alpha) for lam in lambdas for alpha in alphas]
+    betas = [RiskSchedule((_risk_params("--lambdas/--alphas", lam, alpha),) * (horizon + 1))
+             for lam, alpha in pairs]
+    solved = [sols[horizon] for run in mdp.batches(betas, mcfg, grid, [horizon])
+              for sols in mdp.solve_horizons(mcfg, run, cfg.pm, grid, [horizon])]
+    rows, sols, failed = [], dict(zip(pairs, solved)), False
+    for (lam, alpha), sol in zip(pairs, solved):
+        report = mdp.verify_structure(sol, tolerance=args.tolerance)
+        for c in report.checks:
+            rows.append((c.name, lam, alpha, horizon,
+                         "pass" if c.passed else "fail", c.worst_violation))
+            failed = failed or not c.passed
 
     # cross-beta threshold monotonicity; only binding in the fast regime
     informational = not mcfg.fast_regime

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .price_model import PriceGrid, PriceModelParams, noise_dist, transition_matrix
-from .risk import RiskParams, RiskSchedule, mean_cvar_rows, mean_cvar_weights
+from .risk import RiskSchedule, mean_cvar_rows, mean_cvar_weights
 
 MWH_PER_KWH = 1e-3  # $/MWh -> $/kWh
 
@@ -110,7 +110,9 @@ class MdpSolution:
     the post-decision and terminal entries that the sort-based mean_cvar_rows
     scored in place of the linear kernel (see _post_decision, terminal_values);
     it is 0 when V is nondecreasing in price and the terminal rates ascend.
-    values and post_values view the one block of their sweep; one solution keeps it alive.
+    values and post_values are C-contiguous views into the one block of their
+    sweep, which holds every schedule of its batch (see solve_horizons): one
+    solution keeps the whole block alive.
     """
 
     cfg: MdpConfig
@@ -121,11 +123,17 @@ class MdpSolution:
     fallback_rows: int
 
 
-def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
-                    grid: PriceGrid) -> tuple[np.ndarray, int]:
-    """Boundary condition: risk of the inconvenience compensation paid one
-    period after the customer returns, shape (r_max+1, n_p), and the number of
-    its entries the sort-based fallback scored: all of them or none.
+def _columns(rps) -> tuple[np.ndarray, np.ndarray]:
+    """lam and alpha of each of rps as (len(rps), 1) columns."""
+    return np.array([[rp.lam] for rp in rps]), np.array([[rp.alpha] for rp in rps])
+
+
+def terminal_values(cfg: MdpConfig, rps, pm: PriceModelParams,
+                    grid: PriceGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary condition for each of the risk parameters rps: risk of the
+    inconvenience compensation paid one period after the customer returns,
+    shape (len(rps), r_max+1, n_p), and per member the number of its entries
+    the sort-based fallback scored: all of them or none.
 
     The compensation rates gamma[ip, k] per (grid price, next-price outcome)
     rise with k, as gamma_Y is nondecreasing and the noise support ascends, so
@@ -144,11 +152,14 @@ def terminal_values(cfg: MdpConfig, beta_T: RiskParams, pm: PriceModelParams,
         tables[key] = gamma, psi.probs, np.cumsum(psi.probs), ascending
     gamma, probs, cum, ascending = tables[key]
     if ascending:
-        rho_gamma = gamma @ mean_cvar_weights(probs, cum, beta_T)  # (n_p,)
+        # one matrix-vector product per member, bit-equal to gamma @ w alone (gamma @ W.T is not)
+        weights = mean_cvar_weights(probs, cum, *_columns(rps))
+        rho_gamma = np.matmul(gamma, weights[:, :, None])[:, :, 0]  # (n_b, n_p)
     else:
-        rho_gamma = mean_cvar_rows(gamma, probs, beta_T)
-    values = cfg.compensation(cfg.shortfall(T, np.arange(cfg.r_max + 1))[:, None], rho_gamma)
-    return values, 0 if ascending else values.size
+        rho_gamma = np.array([mean_cvar_rows(gamma, probs, rp) for rp in rps])
+    h = cfg.shortfall(T, np.arange(cfg.r_max + 1))[:, None]
+    values = cfg.compensation(h, rho_gamma[:, None])
+    return values, np.full(len(rps), 0 if ascending else values[0].size)
 
 
 # Rows per block of a TransitionBand: one full-scale step's product took about
@@ -180,142 +191,191 @@ class TransitionBand:
             for m in (trans, np.cumsum(trans, axis=1))))
 
     def blocks(self, flat: np.ndarray) -> list[np.ndarray]:
-        """flat, laid out as probs is, as one (j1 - j0, i1 - i0) view per block."""
-        return [flat[a:b].reshape(j1 - j0, i1 - i0) for (i0, i1, j0, j1), a, b
+        """flat, laid out as probs is along its last axis, as one
+        (..., j1 - j0, i1 - i0) view per block."""
+        lead = flat.shape[:-1]
+        return [flat[..., a:b].reshape(lead + (j1 - j0, i1 - i0)) for (i0, i1, j0, j1), a, b
                 in zip(self.spans, self.starts, self.starts[1:])]
 
-    def kernel(self, rp: RiskParams) -> list[np.ndarray]:
-        """The linear form K_t of mean_cvar_rows as its blocks K_t[i0:i1, j0:j1].T:
-        values @ K_t[i] is the mean-CVaR under P_t[i] of each row of values
+    def kernel(self, rps) -> list[np.ndarray]:
+        """The linear form K_t of mean_cvar_rows for each of the risk parameters
+        rps, as its blocks K_t[i0:i1, j0:j1].T stacked along a leading member
+        axis: values @ K_t[i] is the mean-CVaR under P_t[i] of each row of values
         nondecreasing in price.  K_t is 0 wherever P_t is, in a block or outside."""
-        return self.blocks(mean_cvar_weights(self.probs, self.cum, rp))
+        return self.blocks(mean_cvar_weights(self.probs, self.cum, *_columns(rps)))
 
 
 def _price_steps(v: np.ndarray, edge: float) -> np.ndarray:
-    """v[:, ip + 1] - v[:, ip] at [:, ip], with `edge` in the last column: one
-    subtraction over the raveled table, contiguous where v[:, 1:] - v[:, :-1]
-    strides row by row (the last column held the step from one row to the next)."""
-    out, flat = np.empty(v.shape), v.ravel()
-    np.subtract(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
-    out[:, -1] = edge
+    """v[..., ip + 1] - v[..., ip] at [..., ip], with `edge` in the last column:
+    one subtraction over each raveled (rows, prices) table, contiguous where
+    v[..., 1:] - v[..., :-1] strides row by row (the last column held the step
+    from one row to the next)."""
+    out, flat = np.empty(v.shape), v.reshape(v.shape[:-2] + (-1,))
+    np.subtract(flat[..., 1:], flat[..., :-1], out=out.reshape(flat.shape)[..., :-1])
+    out[..., -1] = edge
     return out
 
 
 def _post_decision(v_next: np.ndarray, band: TransitionBand, kernel: list[np.ndarray],
-                   rp: RiskParams, out: np.ndarray) -> int:
-    """Write post[r~, ip], the mean-CVaR of V_{t+1}(r~, P_{t+1}) given P_t = grid[ip],
-    into `out` and return the number of entries the sort-based fallback scored.
+                   rps, out: np.ndarray) -> np.ndarray:
+    """Write post[b, r~, ip], the mean-CVaR under rps[b] of V_{t+1}(b, r~, P_{t+1})
+    given P_t = grid[ip], into `out` for each member b of the batch, and return
+    per member the number of entries the sort-based fallback scored.
 
     V_{t+1}(r~, .) is nondecreasing in price, so every row takes its tail at
-    the top of the grid and the linear kernel scores all states, one product
-    V_{t+1}[:, j0:j1] K_t[i0:i1, j0:j1].T per block of the band.  Rows that
-    fall more than GRID_ORDER_TOL below their running maximum are scored at
-    every price by mean_cvar_rows on the row's support in the band instead.
-    A row falls at most its total dip (the sum of its price steps down) below
-    its running maximum, so only rows whose dip passes half the tolerance
-    (half for rounding) or is NaN take that exact test."""
-    n_p = v_next.shape[1]
+    the top of the grid and the linear kernel scores all states, one batched
+    product V_{t+1}[:, :, j0:j1] K_t[:, i0:i1, j0:j1].T per block of the band.
+    Rows that fall more than GRID_ORDER_TOL below their running maximum are
+    scored at every price by mean_cvar_rows on the row's support in the band
+    instead.  A row falls at most its total dip (the sum of its price steps
+    down) below its running maximum, so only rows whose dip passes half the
+    tolerance (half for rounding) or is NaN take that exact test."""
     for (i0, i1, j0, j1), k in zip(band.spans, kernel):
-        np.matmul(v_next[:, j0:j1], k, out=out[:, i0:i1])
+        np.matmul(v_next[..., j0:j1], k, out=out[..., i0:i1])
     steps = _price_steps(v_next, 0.0)
-    dip = np.minimum(steps, 0.0, out=steps).sum(axis=1)
-    rows = np.flatnonzero(~(dip >= -GRID_ORDER_TOL / 2))
-    if rows.size:
-        v = v_next[rows]
+    dip = np.minimum(steps, 0.0, out=steps).sum(axis=-1)
+    members, flagged = np.nonzero(~(dip >= -GRID_ORDER_TOL / 2))
+    fallback, falling = np.zeros(len(rps), dtype=int), {}
+    for b in dict.fromkeys(members.tolist()):
+        rows = flagged[members == b]
+        v = v_next[b, rows]
         rows = rows[(np.maximum.accumulate(v, axis=1) - v > GRID_ORDER_TOL).any(axis=1)]
-    if rows.size:
+        if rows.size:
+            falling[b], fallback[b] = rows, rows.size * v_next.shape[-1]
+    if falling:
         # each price on the columns where its row of P_t is nonzero, ascending
         for (i0, i1, j0, j1), block in zip(band.spans, band.blocks(band.probs)):
             for ip, row in zip(range(i0, i1), block.T):
                 keep = np.flatnonzero(row)
-                out[rows, ip] = mean_cvar_rows(v_next[np.ix_(rows, j0 + keep)], row[keep], rp)
-    return rows.size * n_p
+                for b, rows in falling.items():
+                    out[b, rows, ip] = mean_cvar_rows(v_next[b][np.ix_(rows, j0 + keep)],
+                                                      row[keep], rps[b])
+    return fallback
 
 
 def _check_finite(table: np.ndarray, T: int, t: int) -> None:
-    """Raise FloatingPointError at the first non-finite entry of V_{t,T}."""
-    if not np.all(np.isfinite(table)):
-        r, ip = np.argwhere(~np.isfinite(table))[0]
-        raise FloatingPointError(f"non-finite value at T={T}, t={t}, r={r}, price index {ip}")
+    """Raise FloatingPointError at the first non-finite entry of V_{t,T} over a
+    batch (n_b, r, ip), naming the member's index in batches of more than one."""
+    if not np.isfinite(table).all():
+        b, r, ip = np.argwhere(~np.isfinite(table))[0]
+        member = f" of schedule {b}" if len(table) > 1 else ""
+        raise FloatingPointError(f"non-finite value{member} at T={T}, t={t}, r={r}, "
+                                 f"price index {ip}")
 
 
-def _window_min(work: np.ndarray, width: int) -> np.ndarray:
-    """A view into work whose row r is the minimum of rows r..r + width - 1 of
-    work[0, :n], n = work.shape[1] // 2; rows n: of both tables are +inf.  Each
-    pass writes the minimum of the s-row windows at r and r + min(s, width - s)
-    into the other table, so the windows grow exactly to width rows."""
-    n = work.shape[1] // 2
+def _window_min(work: np.ndarray, width: int):
+    """A function that returns a view into work whose row r is the minimum of
+    rows r..r + width - 1 of work[0, ..., :n, :] as it then stands, n =
+    work.shape[-2] // 2, in each table of a batch; rows n: of both tables are
+    +inf.  Each pass writes the minimum of the s-row windows at r and
+    r + min(s, width - s) into the other table, so the windows grow exactly to
+    width rows.  The passes' views are taken once: a sweep runs them every step."""
+    n = work.shape[-2] // 2
     width = min(width, n)  # a window of n rows already reaches past the last
-    src, dst, s = work[0], work[1], 1
+    src, dst, s, passes = work[0], work[1], 1, []
     while s < width:
         step = min(s, width - s)
-        np.minimum(src[:n], src[step:step + n], out=dst[:n])
+        passes.append((src[..., :n, :], src[..., step:step + n, :], dst[..., :n, :]))
         src, dst, s = dst, src, s + step
-    return src[:n]
+    reach = src[..., :n, :]
+
+    def run() -> np.ndarray:
+        for a, b, out in passes:
+            np.minimum(a, b, out=out)
+        return reach
+    return run
+
+
+# The most bytes of values and post_values tables one sweep may hold (see
+# batches).  Full-scale single-horizon schedules (T = 16, 4.2 MB each) took
+# 5.0, 4.7, 4.5 and 5.5 ms each in sweeps of 1, 2, 3 and 9; desk families
+# (0.09 MB) 0.47, 0.23 and 0.19 ms in sweeps of 1, 4 and 108 (2-core Xeon VM,
+# one BLAS thread).  A full-scale family (34.8 MB) goes alone, as before.
+BATCH_BYTES = 16 << 20
+
+
+def batches(items: list, cfg: MdpConfig, grid: PriceGrid, horizons) -> list[list]:
+    """items in consecutive runs, each of as many schedules as one sweep over
+    horizons can hold within BATCH_BYTES of tables, and at least one."""
+    n_tables = sum(2 * T + 1 for T in {int(T) for T in horizons})
+    size = max(1, BATCH_BYTES // (8 * n_tables * (cfg.r_max + 1) * len(grid)))
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 def solve(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams,
           grid: PriceGrid) -> MdpSolution:
     """Risk-averse backward induction over t = T-1..0."""
-    return solve_horizons(cfg, beta, pm, grid, [cfg.horizon])[cfg.horizon]
+    return solve_horizons(cfg, [beta], pm, grid, [cfg.horizon])[0][cfg.horizon]
 
 
-def solve_horizons(cfg: MdpConfig, beta: RiskSchedule, pm: PriceModelParams, grid: PriceGrid,
-                   horizons) -> dict[int, MdpSolution]:
-    """Risk-averse backward induction at every horizon in one sweep over
-    t = max(horizons)-1..0; horizon T steps with beta[0..T-1] and ends with
-    beta[T].  Each t builds the blocks of K_t once and steps the table of
-    every horizon T > t with them.  What no beta changes the grid holds (see
-    PriceGrid.tables): each phase's P_t as a TransitionBand of row blocks and
-    each horizon's terminal compensation rates (see terminal_values)."""
+def solve_horizons(cfg: MdpConfig, betas, pm: PriceModelParams, grid: PriceGrid,
+                   horizons) -> list[dict[int, MdpSolution]]:
+    """Risk-averse backward induction for each risk schedule of betas at every
+    horizon, in one sweep over t = max(horizons)-1..0; horizon T steps with
+    beta[0..T-1] and ends with beta[T].  Each t builds the blocks of K_t for
+    every schedule at once and steps the tables of every schedule and every
+    horizon T > t with them, one horizon at a time, the schedules along a
+    leading axis.  Returns one {T: MdpSolution} per schedule, in order.
+
+    One block holds every table of the sweep, each schedule's tables one
+    C-contiguous run of it, so a batch costs the sum of its members' tables
+    (see batches for the runs that fit BATCH_BYTES).  What no beta changes the
+    grid holds (see PriceGrid.tables): each phase's P_t as a TransitionBand of
+    row blocks and each horizon's terminal compensation rates (see
+    terminal_values)."""
     horizons = sorted({int(T) for T in horizons})
-    if beta.horizon != horizons[-1]:
-        raise ValueError(f"risk schedule length {beta.horizon + 1} does not match "
-                         f"horizon {horizons[-1]}")
+    for beta in betas:
+        if beta.horizon != horizons[-1]:
+            raise ValueError(f"risk schedule length {beta.horizon + 1} does not match "
+                             f"horizon {horizons[-1]}")
     cfg.check_compensation_lipschitz(pm)
     tables = grid.tables(pm)
     cfgs = {T: replace(cfg, horizon=T) for T in horizons}
 
+    n_b = len(betas)
     n_r = cfg.r_max + 1
     n_p = len(grid)
-    level_cost = np.arange(n_r, dtype=float)[:, None] * (grid.points * MWH_PER_KWH)
+    # (1, n_r, n_p): a table with the batch's axis steps as fast as one without
+    level_cost = (np.arange(n_r, dtype=float)[:, None] * (grid.points * MWH_PER_KWH))[None]
 
     # one block per sweep: numpy advises huge pages for it, not for a single table
-    block = np.empty((sum(2 * T + 1 for T in horizons), n_r, n_p))
+    block = np.empty((n_b, sum(2 * T + 1 for T in horizons), n_r, n_p))
     values, post_values, at = {}, {}, 0
     for T in horizons:
-        values[T], post_values[T] = block[at:at + T + 1], block[at + T + 1:at + 2 * T + 1]
+        values[T], post_values[T] = block[:, at:at + T + 1], block[:, at + T + 1:at + 2 * T + 1]
         at += 2 * T + 1
-    thresholds = {T: np.empty((T, n_p), dtype=int) for T in horizons}
+    thresholds = {T: np.empty((n_b, T, n_p), dtype=int) for T in horizons}
     fallback_rows = {}
     for T in horizons:
-        values[T][T], fallback_rows[T] = terminal_values(cfgs[T], beta[T], pm, grid)
-        _check_finite(values[T][T], T, T)
+        values[T][:, T], fallback_rows[T] = terminal_values(
+            cfgs[T], [beta[T] for beta in betas], pm, grid)
+        _check_finite(values[T][:, T], T, T)
 
     # the targets and the window minima's other table, +inf below row n_r (see _window_min)
-    work = np.full((2, 2 * n_r, n_p), np.inf)
-    target = work[0, :n_r]
+    work = np.full((2, n_b, 2 * n_r, n_p), np.inf)
+    target, window_min = work[0, :, :n_r], _window_min(work, cfg.x_max + 1)
     for t in range(horizons[-1] - 1, -1, -1):
         phase = t % pm.seas_period
         if ("transition", phase) not in tables:
             tables["transition", phase] = TransitionBand.of(transition_matrix(phase, pm, grid))
         band = tables["transition", phase]
-        kernel = band.kernel(beta[t])
-        # one table at a time: stacked, a step's arrays outgrow the cache (measured slower)
+        rps = [beta[t] for beta in betas]
+        kernel = band.kernel(rps)
+        # one horizon at a time: stacked, a step's arrays outgrow the cache (measured slower)
         for T in [h for h in horizons if h > t]:
-            post = post_values[T][t]
-            fallback_rows[T] += _post_decision(values[T][t + 1], band, kernel, beta[t], post)
+            post, value = post_values[T][:, t], values[T][:, t]
+            fallback_rows[T] += _post_decision(values[T][:, t + 1], band, kernel, rps, post)
             np.add(level_cost, post, out=target)
-            # the smallest level tying with target's min, read before _window_min overwrites it
-            thresholds[T][t] = np.argmax(target <= target.min(axis=0) + TIE_TOL, axis=0)
+            # the smallest level tying with target's min, read before window_min overwrites it
+            low = target.min(axis=1, keepdims=True) + TIE_TOL
+            thresholds[T][:, t] = (target <= low).argmax(axis=1)
             # V_t(r, p) = min over x of x p - c_f + post(r + x), target's min over r..r + x_max
-            reach = _window_min(work, cfg.x_max + 1)
-            np.subtract(reach, level_cost, out=values[T][t])
-            values[T][t] -= cfg.c_f
-            _check_finite(values[T][t], T, t)
+            np.subtract(window_min(), level_cost, out=value)
+            value -= cfg.c_f
+            _check_finite(value, T, t)
 
-    return {T: MdpSolution(cfgs[T], grid, values[T], post_values[T], thresholds[T],
-                           fallback_rows[T]) for T in horizons}
+    return [{T: MdpSolution(cfgs[T], grid, values[T][b], post_values[T][b], thresholds[T][b],
+                            int(fallback_rows[T][b])) for T in horizons} for b in range(n_b)]
 
 
 @dataclass(frozen=True)

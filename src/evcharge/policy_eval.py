@@ -173,7 +173,7 @@ def _aggregate(outcomes: np.ndarray, how: str, alpha: float, seed: int) -> tuple
     def cvar(counts):
         # cumulative counts are exact integers, so the last cum is exactly 1
         w = counts[order]
-        return float(ascending @ mean_cvar_weights(w / n, np.cumsum(w) / n, rp))
+        return float(ascending @ mean_cvar_weights(w / n, np.cumsum(w) / n, rp.lam, rp.alpha))
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007)))
     reps = np.array([cvar(np.bincount(rng.integers(0, n, n), minlength=n))

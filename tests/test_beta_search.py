@@ -242,22 +242,33 @@ def test_beta_grid_shape():
     [(0.5, 0.2), (0.5, 0.8), (1.0, 0.2), (1.0, 0.8)],
 ], ids=["with_lambda0", "without_lambda0"])
 def test_pipeline_solves_each_effective_beta_once(monkeypatch, sample_grid):
+    # every schedule that enters a sweep is one effective beta, solved once
+    # across the samples' sweeps and the selections' sweeps
     cfg = preset("desk_scale")
-    calls = []
-    real = beta_search.solve_family
+    sweeps = []
+    real = beta_search.solve_horizons
 
-    def counting(lam, alpha, *args):
-        calls.append((lam, alpha))
-        return real(lam, alpha, *args)
+    def counting(cfg, betas, *args):
+        assert all(beta.per_period == (beta[0],) * len(beta.per_period) for beta in betas)
+        sweeps.append([(beta[0].lam, beta[0].alpha) for beta in betas])
+        return real(cfg, betas, *args)
 
-    monkeypatch.setattr(beta_search, "solve_family", counting)
+    monkeypatch.setattr(beta_search, "solve_horizons", counting)
     result = pipeline(sample_grid, cfg.mdp, cfg.pm, cfg.build_grid(),
                       TauDist((2, 3), np.array([0.5, 0.5])), [0.1, 0.5], 50, 3, 20.0,
                       degree=1)
     assert result.rn.n_paths == 50
-    assert len(calls) == len(set(calls))
+    solved = [beta for sweep in sweeps for beta in sweep]
+    assert len(solved) == len(set(solved))
+    effective = {(lam, alpha) if lam > 0 else (0.0, 0.5)
+                 for lam, alpha in sample_grid + [(row.lam, row.alpha) for row in result.rows]}
+    assert set(solved) == effective | {(0.0, 0.5)}
+    # the samples in one sweep, then what the selections and the anchor add
+    assert len(sweeps) <= 2
+    assert set(sweeps[0]) == {(lam, alpha) if lam > 0 else (0.0, 0.5)
+                              for lam, alpha in sample_grid}
     # alpha plays no part at lam = 0: one risk-neutral solve, shared by the anchor
-    assert sum(lam == 0.0 for lam, _ in calls) == 1
+    assert sum(lam == 0.0 for lam, _ in solved) == 1
     for s in result.samples:
         if s.lam == 0.0:
             assert (s.reward, s.risk) == (result.rn.reward, result.rn.risk)
@@ -333,8 +344,8 @@ def test_shared_tables_change_no_bit(monkeypatch):
         for T in family.solutions:
             cfg_T = replace(cfg.mdp, horizon=T)
             np.testing.assert_array_equal(
-                mdp.terminal_values(cfg_T, RiskParams(lam, alpha), cfg.pm, grid)[0],
-                mdp.terminal_values(cfg_T, RiskParams(lam, alpha), cfg.pm, cfg.build_grid())[0])
+                mdp.terminal_values(cfg_T, [RiskParams(lam, alpha)], cfg.pm, grid)[0],
+                mdp.terminal_values(cfg_T, [RiskParams(lam, alpha)], cfg.pm, cfg.build_grid())[0])
 
 
 CAPPED = dict(gamma_y_kind="linear-capped", gamma_y_cap=0.02)

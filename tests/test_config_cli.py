@@ -265,14 +265,15 @@ class TestCli:
     def test_verify_threshold_falling_in_beta(self, tmp_path, capsys, monkeypatch, x_max, code):
         # thresholds shifted down as lambda rises: every per-beta check still
         # passes, and only the cross-beta row fails, binding in the fast regime
-        real = mdp.solve
+        real = mdp.solve_horizons
 
-        def falling(cfg, beta, pm, grid):
-            sol = real(cfg, beta, pm, grid)
-            shift = round(100 * (1 - beta[0].lam))
-            return dataclasses.replace(sol, thresholds=sol.thresholds + shift)
+        def falling(cfg, betas, pm, grid, horizons):
+            return [{T: dataclasses.replace(sol, thresholds=sol.thresholds
+                                            + round(100 * (1 - beta[0].lam)))
+                     for T, sol in sols.items()}
+                    for beta, sols in zip(betas, real(cfg, betas, pm, grid, horizons))]
 
-        monkeypatch.setattr(mdp, "solve", falling)
+        monkeypatch.setattr(mdp, "solve_horizons", falling)
         raw = small_raw()
         raw["mdp"]["x_max"] = x_max
         out = tmp_path / "out"

@@ -44,11 +44,21 @@ def sort_path_post(v_next, trans, rp):
     return post
 
 
-def kernel_step(grid, t, rp):
-    """(P_t, its band, K_t) on the desk price model, as the solver builds them."""
+def transition_band(grid, t):
+    """(P_t, its band) on the desk price model, as the solver builds them."""
     trans = transition_matrix(t, DESK_PM, grid)
-    band = TransitionBand.of(trans)
-    return trans, band, band.kernel(rp)
+    return trans, TransitionBand.of(trans)
+
+
+def terminal(cfg, rp, pm, grid):
+    """terminal_values for a batch of one: its table and its fallback count."""
+    values, n_fallback = terminal_values(cfg, [rp], pm, grid)
+    return values[0], int(n_fallback[0])
+
+
+def post_decision(v_next, band, rp, out):
+    """_post_decision for a batch of one; its fallback count."""
+    return int(_post_decision(v_next[None], band, band.kernel([rp]), [rp], out[None])[0])
 
 
 def compensation_rates(cfg, pm, grid):
@@ -126,7 +136,7 @@ class TestTerminal:
         for cfg, pm, grid in ((micro_cfg(), MICRO_PM, micro_grid),
                               (desk_cfg(x_max=3, horizon=2), DESK_PM, desk_grid)):
             bench = cfg.benchmark(cfg.horizon)
-            assert np.all(terminal_values(cfg, beta, pm, grid)[0][bench:] == 0.0)
+            assert np.all(terminal(cfg, beta, pm, grid)[0][bench:] == 0.0)
         assert bench == 6
 
     def test_known_value_without_market_term(self):
@@ -134,14 +144,14 @@ class TestTerminal:
         cfg = MdpConfig(r_max=60, x_max=60, c_f=0.5, p_ref=0.05, gamma_h=0.0,
                         horizon=16, r0=0, gamma_y_kind="linear-capped",
                         gamma_y_cap=0.0)
-        v = terminal_values(cfg, RiskParams(0.5, 0.9), MICRO_PM,
-                            PriceGrid(np.array([35.0])))[0][40, 0]
+        v = terminal(cfg, RiskParams(0.5, 0.9), MICRO_PM,
+                     PriceGrid(np.array([35.0])))[0][40, 0]
         assert v == pytest.approx(20 * 0.05, abs=1e-12)
 
     def test_risk_aversion_never_cheapens_compensation(self, micro_grid):
         cfg = micro_cfg()
-        rn, _ = terminal_values(cfg, RiskParams(0.0, 0.5), MICRO_PM, micro_grid)
-        averse, _ = terminal_values(cfg, RiskParams(1.0, 0.9), MICRO_PM, micro_grid)
+        rn, _ = terminal(cfg, RiskParams(0.0, 0.5), MICRO_PM, micro_grid)
+        averse, _ = terminal(cfg, RiskParams(1.0, 0.9), MICRO_PM, micro_grid)
         assert np.all(averse >= rn - 1e-12)
 
     @pytest.mark.parametrize("x_max", [3, 12], ids=["slow", "fast"])
@@ -151,7 +161,7 @@ class TestTerminal:
         # p e^-kappa + psi_k, for every r and every 4th grid price p
         cfg = desk_cfg(x_max=x_max, horizon=2)
         T, psi = cfg.horizon, noise_dist(cfg.horizon, desk_pm)
-        values, _ = terminal_values(cfg, RiskParams(0.0, 0.5), desk_pm, desk_grid)
+        values, _ = terminal(cfg, RiskParams(0.0, 0.5), desk_pm, desk_grid)
         r, p, k = (a.ravel() for a in np.meshgrid(
             np.arange(cfg.r_max + 1), desk_grid.points[::4], np.arange(len(psi.support)),
             indexing="ij"))
@@ -164,7 +174,7 @@ class TestTerminal:
 
     def test_shape(self, micro_grid):
         cfg = micro_cfg()
-        v, n_fallback = terminal_values(cfg, RiskParams(0.3, 0.7), MICRO_PM, micro_grid)
+        v, n_fallback = terminal(cfg, RiskParams(0.3, 0.7), MICRO_PM, micro_grid)
         assert v.shape == (cfg.r_max + 1, len(micro_grid))
         assert n_fallback == 0
 
@@ -186,7 +196,7 @@ class TestTerminal:
                 cvar = np.array([cvar_grid_search(row, probs, alpha) for row in gamma[::8]])
                 for lam in (0.0, 0.3, 1.0):
                     rp = RiskParams(lam, alpha)
-                    got, n_fallback = terminal_values(cfg_T, rp, cfg.pm, grid)
+                    got, n_fallback = terminal(cfg_T, rp, cfg.pm, grid)
                     assert n_fallback == 0
                     sort_path = cfg_T.compensation(h, mean_cvar_rows(gamma, probs, rp))
                     np.testing.assert_allclose(got, sort_path, rtol=0, atol=1e-12)
@@ -206,7 +216,7 @@ class TestTerminal:
         h = (cfg.benchmark(3) - np.arange(cfg.r_max + 1)).astype(float)[:, None]
         for rp in (RiskParams(0.0, 0.5), RiskParams(0.3, 0.9), RiskParams(1.0, 0.995)):
             want = cfg.compensation(h, mean_cvar_rows(gamma, probs, rp))
-            got, n_fallback = terminal_values(cfg, rp, DESK_PM, grid)
+            got, n_fallback = terminal(cfg, rp, DESK_PM, grid)
             assert got.tobytes() == want.tobytes()
             assert n_fallback == got.size
             sol = solve(cfg, RiskSchedule.homogeneous(rp.lam, rp.alpha, 3), DESK_PM, grid)
@@ -337,7 +347,7 @@ class TestSolveHorizons:
         beta = random_schedule(np.random.default_rng(31), 4)
 
         def fallback_rows(grid):
-            sols = solve_horizons(cfg, beta, desk_pm, grid, {2, 3, 4})
+            (sols,) = solve_horizons(cfg, [beta], desk_pm, grid, {2, 3, 4})
             assert sorted(sols) == [2, 3, 4]
             for T, sol in sols.items():
                 alone = solve(replace(cfg, horizon=T), RiskSchedule(beta.per_period[:T + 1]),
@@ -369,14 +379,133 @@ class TestSolveHorizons:
     def test_schedule_must_cover_the_longest_horizon(self, desk_pm, desk_grid):
         beta = RiskSchedule.homogeneous(0.5, 0.9, 4)
         with pytest.raises(ValueError, match="risk schedule length"):
-            solve_horizons(desk_cfg(), beta, desk_pm, desk_grid, [2, 3])
+            solve_horizons(desk_cfg(), [beta], desk_pm, desk_grid, [2, 3])
 
+
+
+def effective_betas(sample_grid):
+    """The distinct effective (lam, alpha) of sample_grid, lam = 0 as (0, 0.5)."""
+    return list(dict.fromkeys((lam, alpha) if lam > 0 else (0.0, 0.5)
+                              for lam, alpha in sample_grid))
+
+
+def assert_batch_matches_solo(cfg, betas, pm, grid, horizons):
+    """Each schedule of one batched sweep equals its own sweep, bit for bit."""
+    batch = solve_horizons(cfg, betas, pm, grid, horizons)
+    assert len(batch) == len(betas)
+    for beta, sols in zip(betas, batch):
+        (alone,) = solve_horizons(cfg, [beta], pm, grid, horizons)
+        assert sorted(sols) == sorted(alone)
+        for T, sol in sols.items():
+            assert sol.cfg == alone[T].cfg
+            assert sol.values.tobytes() == alone[T].values.tobytes()
+            assert sol.post_values.tobytes() == alone[T].post_values.tobytes()
+            assert sol.thresholds.tobytes() == alone[T].thresholds.tobytes()
+            assert sol.fallback_rows == alone[T].fallback_rows
+    return batch
+
+
+class TestBatch:
+    def test_desk_samples_match_solo_sweeps(self):
+        # the 110 sampled betas of the full-scale beta search on the desk model:
+        # 101 effective ones, all in one sweep
+        cfg = preset("desk_scale")
+        pairs = effective_betas(preset("full_scale").sample_grid())
+        assert len(pairs) == 101
+        horizon = max(cfg.tau.horizons)
+        betas = [RiskSchedule.homogeneous(lam, alpha, horizon) for lam, alpha in pairs]
+        assert mdp.batches(betas, cfg.mdp, cfg.build_grid(), cfg.tau.horizons) == [betas]
+        batch = assert_batch_matches_solo(cfg.mdp, betas, cfg.pm, cfg.build_grid(),
+                                          cfg.tau.horizons)
+        assert all(sol.fallback_rows == 0 for sols in batch for sol in sols.values())
+
+    def test_full_scale_batch_matches_solo_sweeps(self):
+        # lam = 0, an interior beta and lam = 1, then a non-homogeneous schedule
+        # beside a homogeneous one
+        cfg = preset("full_scale")
+        grid = cfg.build_grid()
+        horizon = max(cfg.tau.horizons)
+        homogeneous = [RiskSchedule.homogeneous(lam, alpha, horizon)
+                       for lam, alpha in ((0.0, 0.5), (0.6, 0.8), (1.0, 0.95))]
+        assert_batch_matches_solo(cfg.mdp, homogeneous, cfg.pm, grid, cfg.tau.horizons)
+        mixed = [random_schedule(np.random.default_rng(5), horizon), homogeneous[1]]
+        assert_batch_matches_solo(cfg.mdp, mixed, cfg.pm, grid, cfg.tau.horizons)
+
+    def test_fallback_counted_per_member(self, monkeypatch, desk_pm, desk_grid):
+        # only the lam = 0.7 member's terminal rates fall (softplus patched as in
+        # test_fallback_on_falling_terminal_rows, on a grid of its own): that
+        # member takes the sort-based fallback and the others do not, batched as alone
+        falling_grid = build_grid(desk_pm, span=20)
+        real = mdp.terminal_values
+
+        def one_falling(cfg, rps, pm, grid):
+            values, counts = real(cfg, rps, pm, grid)
+            with monkeypatch.context() as m:
+                m.setattr(mdp, "softplus", lambda y: np.logaddexp(0.0, -y))
+                fell, fell_counts = real(cfg, rps, pm, falling_grid)
+            pick = np.array([rp.lam == 0.7 for rp in rps])
+            values[pick], counts[pick] = fell[pick], fell_counts[pick]
+            return values, counts
+
+        monkeypatch.setattr(mdp, "terminal_values", one_falling)
+        cfg = desk_cfg(x_max=3, horizon=3)
+        betas = [RiskSchedule.homogeneous(lam, alpha, 3)
+                 for lam, alpha in ((0.0, 0.5), (0.7, 0.9), (1.0, 0.3))]
+        betas.append(random_schedule(np.random.default_rng(3), 3))
+        batch = assert_batch_matches_solo(cfg, betas, desk_pm, desk_grid, [2, 3])
+        counts = [[sols[T].fallback_rows for T in (2, 3)] for sols in batch]
+        assert counts[1][0] > (cfg.r_max + 1) * len(desk_grid)  # terminal and post rows
+        assert counts[0] == counts[2] == counts[3] == [0, 0]
+
+    def test_post_decision_falls_back_only_for_flagged_members(self, desk_grid):
+        # one member's row falls; the others take the linear kernel alone
+        trans, band = transition_band(desk_grid, 0)
+        rng = np.random.default_rng(11)
+        n_p = len(desk_grid)
+        v_next = np.cumsum(rng.exponential(0.05, (3, 6, n_p)), axis=2)
+        v_next[1, 4, n_p // 2:] -= 1.0
+        rps = [RiskParams(0.3, 0.6), RiskParams(0.9, 0.95), RiskParams(0.0, 0.5)]
+        post = np.empty(v_next.shape)
+        counts = _post_decision(v_next, band, band.kernel(rps), rps, post)
+        assert counts.tolist() == [0, n_p, 0]
+        for b, rp in enumerate(rps):
+            alone = np.empty((6, n_p))
+            assert post_decision(v_next[b], band, rp, alone) == counts[b]
+            assert post[b].tobytes() == alone.tobytes()
+        np.testing.assert_allclose(post[1], sort_path_post(v_next[1], trans, rps[1]),
+                                   rtol=0, atol=1e-12)
+
+    def test_members_share_no_memory(self, desk_pm, desk_grid):
+        # every table of a batch is its own run of the sweep's one block
+        cfg = desk_cfg(horizon=4)
+        betas = [RiskSchedule.homogeneous(lam, 0.8, 4) for lam in (0.2, 0.5, 0.9)]
+        batch = solve_horizons(cfg, betas, desk_pm, desk_grid, [2, 4])
+        tables = [table for sols in batch for sol in sols.values()
+                  for table in (sol.values, sol.post_values, sol.thresholds)]
+        for i, a in enumerate(tables):
+            assert a.flags.c_contiguous
+            for b in tables[i + 1:]:
+                assert not np.shares_memory(a, b)
+        # one block holds them all: keeping one solution keeps the block alive
+        assert len({id(sol.values.base) for sols in batch for sol in sols.values()}) == 1
+        before = [table.tobytes() for table in tables]
+        tables[0][...] = np.nan
+        assert all(table.tobytes() == old for table, old in zip(tables[1:], before[1:]))
+
+    def test_batch_cap(self):
+        # a full-scale family (34.8 MB of tables) goes alone; the desk model's
+        # 101 effective sampled betas (0.09 MB each) go together
+        for name, per_sweep in (("full_scale", 1), ("desk_scale", 101)):
+            cfg = preset(name)
+            runs = mdp.batches(list(range(101)), cfg.mdp, cfg.build_grid(), cfg.tau.horizons)
+            assert [len(run) for run in runs] == [per_sweep] * (101 // per_sweep)
+            assert sum(runs, []) == list(range(101))
 
 def assert_window_min(table, width):
     n, m = table.shape
     work = np.full((2, 2 * n, m), np.inf)
     work[0, :n] = table
-    got = mdp._window_min(work, width)
+    got = mdp._window_min(work, width)()
     padded = np.concatenate([table, np.full((width - 1, m), np.inf)])
     want = np.lib.stride_tricks.sliding_window_view(padded, width, axis=0).min(axis=2)
     assert np.array_equal(got, want, equal_nan=True)
@@ -426,7 +555,7 @@ def test_price_steps_are_the_row_differences(data, n, m, edge):
     table = np.array(data.draw(st.lists(WINDOW_ENTRIES, min_size=n * m, max_size=n * m),
                                label="table")).reshape(n, m)
     assert_price_steps(table, edge)
-    assert_price_steps(table.T, edge)  # not contiguous: ravel copies
+    assert_price_steps(table.T, edge)  # not contiguous: reshape copies
 
 
 def test_price_steps_between_every_pair_of_ties():
@@ -452,8 +581,8 @@ class TestStructure:
         cfg = preset("full_scale")
         mcfg = replace(cfg.mdp, x_max=x_max)
         assert mcfg.benchmark(min(cfg.tau.horizons)) < mcfg.r_max
-        sols = solve_horizons(mcfg, RiskSchedule.homogeneous(0.7, 0.9, max(cfg.tau.horizons)),
-                              cfg.pm, cfg.build_grid(), cfg.tau.horizons)
+        (sols,) = solve_horizons(mcfg, [RiskSchedule.homogeneous(0.7, 0.9, max(cfg.tau.horizons))],
+                                 cfg.pm, cfg.build_grid(), cfg.tau.horizons)
         for sol in sols.values():
             report = verify_structure(sol)
             assert report.all_passed, str(report)
@@ -526,7 +655,7 @@ class TestKernelStep:
         rng = np.random.default_rng(seed)
         rp = RiskParams(lam, alpha)
         grid = wide_grid if shape == "staircase" else desk_grid
-        trans, band, kernel = kernel_step(grid, t, rp)
+        trans, band = transition_band(grid, t)
         n_p = len(grid)
         # nondecreasing rows with flat stretches, where noise makes tiny falls
         v_next = np.cumsum(rng.exponential(0.05, (6, n_p)) * (rng.random((6, n_p)) < 0.5), axis=1)
@@ -546,7 +675,7 @@ class TestKernelStep:
             if shape == "nan-tail":
                 v_next[2, -1] = np.nan
         post = np.empty((6, n_p))
-        n_fallback = _post_decision(v_next, band, kernel, rp, post)
+        n_fallback = post_decision(v_next, band, rp, post)
         np.testing.assert_allclose(post, sort_path_post(v_next, trans, rp), rtol=0, atol=1e-12)
         # a row falls when it drops more than 1e-12 below its running maximum
         falls = sum(any(top - v > 1e-12 for top, v in zip(accumulate(row, max), row))
@@ -622,7 +751,8 @@ class TestTransitionBand:
         trans[short] *= short_mass * alpha
         band = TransitionBand.of(trans)
         want = dense_mean_cvar_kernel(trans, np.cumsum(trans, axis=1), lam, alpha)
-        assert scatter(band, band.kernel(RiskParams(lam, alpha))).tobytes() == want.tobytes()
+        (kernel,) = zip(*band.kernel([RiskParams(lam, alpha)]))
+        assert scatter(band, kernel).tobytes() == want.tobytes()
         assert scatter(band, band.blocks(band.probs)).tobytes() == trans.tobytes()
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
@@ -631,7 +761,8 @@ class TestTransitionBand:
         for name, phase, trans in preset_transitions():
             band = TransitionBand.of(trans)
             want = dense_mean_cvar_kernel(trans, np.cumsum(trans, axis=1), lam, rp.alpha)
-            assert scatter(band, band.kernel(rp)).tobytes() == want.tobytes(), (name, phase)
+            (kernel,) = zip(*band.kernel([rp]))
+            assert scatter(band, kernel).tobytes() == want.tobytes(), (name, phase)
 
     def test_blocks_cover_the_matrix(self):
         for name, phase, trans in preset_transitions():
@@ -666,6 +797,6 @@ class TestTransitionBand:
             v = np.cumsum(rng.exponential(1.0 / n, (13, n)), axis=1)  # nondecreasing in price
             band = TransitionBand.of(trans)
             post = np.full((13, n), np.nan)
-            assert _post_decision(v, band, band.kernel(rp), rp, post) == 0
+            assert post_decision(v, band, rp, post) == 0
             want = v @ dense_mean_cvar_kernel(trans, np.cumsum(trans, axis=1), lam, rp.alpha).T
             np.testing.assert_allclose(post, want, rtol=0, atol=1e-13, err_msg=label)

@@ -174,7 +174,7 @@ def test_mean_cvar_rows_equal_the_argsort_path(seed, n_rows, n_out, ties, ascend
         np.testing.assert_allclose(got, argsort_mean_cvar(values, probs, rp), rtol=0,
                                    atol=1e-12)
         if ascending:
-            linear = values @ mean_cvar_weights(probs, np.cumsum(probs), rp)
+            linear = values @ mean_cvar_weights(probs, np.cumsum(probs), rp.lam, rp.alpha)
             np.testing.assert_allclose(linear, got, rtol=0, atol=1e-12)
         for i in range(n_rows):
             assert got[i] == pytest.approx(mean_cvar_grid_search(values[i], probs, rp),
