@@ -5,8 +5,9 @@ continuous-charging default, on the large price grid with 10^5 paths.
 
 All six policies are scored on one Scenario of tau and price paths, so they
 see the same draws.  Writes policy_comparison.csv to the output directory.
-With the default 10^5 paths a run took 0.9-1.0 s wall on a 2-core Intel Xeon
-box (Python 3.11, numpy 2.4, one BLAS thread); there a full-scale
+With the default 10^5 paths a run took 0.58-0.66 s wall on a shared 2-core
+Intel Xeon box (Python 3.11, numpy 2.4, one BLAS thread; 0.72-0.80 s before
+the price paths were stored time-major); there a full-scale
 solve_family takes about 0.03 s once the grid holds its tables (median of 10
 calls in one process, 30-37 ms), and 0.07-0.08 s for the first family on a
 fresh grid.

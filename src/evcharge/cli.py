@@ -162,7 +162,7 @@ def cmd_simulate(args) -> int:
 
     if args.dump_paths:
         paths = scenario.simulate(family, cfg.mdp)
-        purchases = np.diff(paths.charges, axis=1)
+        purchases = np.diff(paths.charges[:args.dump_paths], axis=1)
         _write_csv(os.path.join(cfg.output_dir, "trajectories.csv"),
                    ["path_id", "t", "p", "r", "x"],
                    ((i, t, paths.prices[i, t], int(paths.charges[i, t]),

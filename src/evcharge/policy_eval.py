@@ -88,8 +88,12 @@ class ThresholdPolicyFamily:
         missing = set(np.flatnonzero(np.bincount(tau)).tolist()) - set(self.solutions)
         if missing:
             raise ValueError(f"no solved MDP for horizon {min(missing)}")
-        t = np.arange(prices.shape[1])[:, None]
-        return self.table[tau, t, self.grid.nearest_index(prices.T)]
+        max_h, n_grid = self.table.shape[1:]
+        if prices.shape[1] > max_h:
+            raise ValueError(f"levels reach {max_h} periods, got {prices.shape[1]}")
+        flat = self.grid.nearest_index(prices.T)  # index into table.ravel()
+        flat += (tau * max_h + np.arange(prices.shape[1])[:, None]) * n_grid
+        return self.table.ravel().take(flat)
 
 
 class ContinuousChargePolicy:
@@ -111,7 +115,9 @@ class NeverChargePolicy:
 class PathBatch:
     """n simulated reservations: tau (n,), prices P_0..P_{K+1} (n, K+2) and
     charges R_0..R_K (n, K+1), K the largest horizon of the tau distribution.
-    Past a path's tau the prices run on and the charge holds (purchase 0)."""
+    Simulated prices and charges are views of time-major blocks, one contiguous
+    row per period.  Past a path's tau the prices run on and the charge holds
+    (purchase 0)."""
 
     tau: np.ndarray
     prices: np.ndarray
@@ -133,7 +139,7 @@ def draw(tau_dist: TauDist, n_paths: int, seed: int):
 def compensation(paths: PathBatch, cfg: MdpConfig, pm: PriceModelParams) -> np.ndarray:
     """Per-path inconvenience compensation paid at tau + 1, $."""
     p_end = paths.prices[np.arange(len(paths.tau)), paths.tau + 1]
-    y = (p_end - pm.seasonality(paths.tau + 1)) * MWH_PER_KWH
+    y = (p_end - pm.seasonality(np.arange(paths.prices.shape[1]))[paths.tau + 1]) * MWH_PER_KWH
     return cfg.compensation(cfg.shortfall(paths.tau, paths.charges[:, -1]), cfg.gamma_y(y))
 
 
@@ -184,8 +190,9 @@ def _aggregate(outcomes: np.ndarray, how: str, alpha: float, seed: int) -> tuple
 @dataclass(frozen=True)
 class Scenario:
     """n drawn reservations: tau (n,) and the continuous price paths P_0..P_{K+1}
-    (n, K+2) from one start price, K the largest horizon of the tau distribution.
-    Policies are simulated and scored on it without drawing again."""
+    (n, K+2) from one start price, K the largest horizon of the tau distribution,
+    a view of sample_paths' time-major block.  Policies are simulated and
+    scored on it without drawing again."""
 
     tau: np.ndarray
     prices: np.ndarray

@@ -128,8 +128,9 @@ class PriceGrid:
         return self._held.setdefault(params, {})
 
     def nearest_index(self, p) -> np.ndarray:
-        """Index of the grid point closest to p (clipped to the grid)."""
-        idx = np.rint((np.asarray(p, dtype=float) - self.points[0]) / self.step).astype(int)
+        """Index of the grid point closest to p (clipped to the grid); the points
+        are one unit apart, so the offset from the first point is the index."""
+        idx = np.rint(np.asarray(p, dtype=float) - self.points[0]).astype(int)
         return np.clip(idx, 0, len(self.points) - 1)
 
 
@@ -239,22 +240,25 @@ def transition_matrix(t: int, params: PriceModelParams, grid: PriceGrid) -> np.n
 
 def sample_paths(p0: float, params: PriceModelParams, normal: np.ndarray,
                  jump_u: np.ndarray, jump_normal: np.ndarray) -> np.ndarray:
-    """P_0..P_K for every path from the exact (undiscretized) recursion.
+    """P_0..P_K for every path from the exact (undiscretized) recursion, as an
+    (n_paths, K+1) view of a time-major block: one contiguous row per period.
 
     The three (n_paths, K) arrays hold the standard draws of each step: the
     diffusion normal, the uniform that decides a jump (jump when below
     jump_prob) and the jump-size normal.
     """
-    if normal.shape[1] < 1:
+    n, steps = normal.shape
+    if steps < 1:
         raise ValueError("paths need at least one step")
     d = params.decay
     shocks = (np.sqrt(params.diffusion_var) * normal + params.mu_Y * (1.0 - d)
               + np.where(jump_u < params.jump_prob,
                          params.mu_J + params.sigma_J * jump_normal, 0.0))
-    y = np.empty((normal.shape[0], normal.shape[1] + 1))
-    y[:, 0] = p0 - params.seasonality(0)
-    for t in range(normal.shape[1]):
-        y[:, t + 1] = y[:, t] * d + shocks[:, t]
-    prices = y + params.seasonality(np.arange(normal.shape[1] + 1))
-    prices[:, 0] = p0  # exact, so a start price on a rounding boundary stays put
-    return prices
+    y = np.empty((steps + 1, n))
+    y[0] = p0 - params.seasonality(0)
+    y[1:] = shocks.T
+    for t in range(steps):  # row t + 1 holds its shock until the decayed row t is added
+        y[t + 1] += y[t] * d
+    y += params.seasonality(np.arange(steps + 1))[:, None]
+    y[0] = p0  # exact, so a start price on a rounding boundary stays put
+    return y.T

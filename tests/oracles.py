@@ -214,6 +214,24 @@ def bellman_residual_loop(sol) -> float:
     return worst
 
 
+def sample_paths_column_by_column(p0: float, params: PriceModelParams, normal, jump_u,
+                                  jump_normal) -> np.ndarray:
+    """Reference for price_model.sample_paths: the same recursion on a
+    path-major (n_paths, K+1) array, one column per period, with the same
+    operations in the same order, so it agrees bit for bit."""
+    d = params.decay
+    shocks = (np.sqrt(params.diffusion_var) * normal + params.mu_Y * (1.0 - d)
+              + np.where(jump_u < params.jump_prob,
+                         params.mu_J + params.sigma_J * jump_normal, 0.0))
+    y = np.empty((normal.shape[0], normal.shape[1] + 1))
+    y[:, 0] = p0 - params.seasonality(0)
+    for t in range(normal.shape[1]):
+        y[:, t + 1] = y[:, t] * d + shocks[:, t]
+    prices = y + params.seasonality(np.arange(normal.shape[1] + 1))
+    prices[:, 0] = p0
+    return prices
+
+
 def simulate_path_by_path(policy: str, cfg: MdpConfig, pm: PriceModelParams, p0: float,
                           tau, normal, jump_u, jump_normal, solutions=None):
     """Reference for policy_eval.simulate: walks one path at a time through its

@@ -311,6 +311,23 @@ class TestCli:
         assert {ln.split(",")[0] for ln in lines[1:]} == {"threshold", "default", "never"}
         assert os.path.exists(os.path.join(out, "trajectories.csv"))
 
+    @pytest.mark.parametrize("dump", [1, 3, 80])  # 80 is more than the 50 paths
+    def test_simulate_dumps_the_first_paths(self, tmp_path, dump):
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", write_cfg(tmp_path, small_raw()),
+                     "--lam", "0.5", "--alpha", "0.9", "--out-dir", out,
+                     "--dump-paths", str(dump)]) == EXIT_OK
+        with open(os.path.join(out, "trajectories.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        ids = sorted({int(row["path_id"]) for row in rows})
+        assert ids == list(range(min(dump, 50)))
+        for i in ids:
+            path = [row for row in rows if int(row["path_id"]) == i]
+            r = [int(row["r"]) for row in path]
+            x = [int(row["x"]) for row in path]
+            assert [int(row["t"]) for row in path] == list(range(len(path)))
+            assert np.diff(r).tolist() == x[:-1] and x[-1] == 0
+
     @pytest.mark.parametrize("name", ["desk_scale", "full_scale"])
     def test_price_check(self, tmp_path, name):
         out = str(tmp_path / "out")

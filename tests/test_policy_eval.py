@@ -21,7 +21,7 @@ from evcharge.policy_eval import (
 )
 
 from conftest import DESK_PM, desk_cfg
-from oracles import bootstrap_cvar, simulate_path_by_path
+from oracles import bootstrap_cvar, sample_paths_column_by_column, simulate_path_by_path
 
 
 def small_tau():
@@ -106,6 +106,59 @@ class TestSimulate:
         fam = solve_family(0.5, 0.9, desk_cfg(), desk_pm, desk_grid, (2,))
         with pytest.raises(ValueError, match="horizon 3"):
             small_scenario(20, 0).simulate(fam, desk_cfg())
+
+    def test_prices_and_charges_index_path_then_period(self):
+        # the paths are stored time-major behind (path, period) views
+        cfg = desk_cfg()
+        n, seed = 30, 8
+        scenario = small_scenario(n, seed)
+        tau, *noise = draw(small_tau(), n, seed)
+        want = sample_paths_column_by_column(20.0, DESK_PM, *noise)
+        assert scenario.prices.shape == (n, 3 + 2)
+        assert scenario.prices.T.flags.c_contiguous
+        assert np.ascontiguousarray(scenario.prices).tobytes() == want.tobytes()
+        for i in (0, 7, n - 1):
+            np.testing.assert_array_equal(scenario.prices[i], want[i])
+            assert scenario.prices[i, 2] == want[i, 2]
+        paths = scenario.simulate(ContinuousChargePolicy(cfg), cfg)
+        assert paths.prices is scenario.prices
+        assert paths.charges.shape == (n, 3 + 1)
+        for i in (0, n - 1):
+            np.testing.assert_array_equal(
+                paths.charges[i], [cfg.r0] + [cfg.r_max] * 3)
+
+
+class TestThresholdLevels:
+    def family(self, desk_pm, desk_grid):
+        return solve_family(0.5, 0.9, desk_cfg(), desk_pm, desk_grid, (2, 3, 5))
+
+    def test_flat_take_equals_table_gather(self, desk_pm, desk_grid):
+        fam = self.family(desk_pm, desk_grid)
+        rng = np.random.default_rng(21)
+        n, steps = 400, 5
+        tau = rng.choice([2, 3, 5], n)
+        lo, hi = desk_grid.points[0], desk_grid.points[-1]
+        prices = rng.uniform(lo - 15.0, hi + 15.0, (n, steps))  # off both grid ends
+        prices[:5] = [lo - 100.0, lo - 0.5, lo + 0.5, hi + 0.5, hi + 100.0]
+        assert (prices < lo - 0.5).any() and (prices > hi + 0.5).any()
+        t = np.arange(steps)[:, None]
+        want = fam.table[tau, t, desk_grid.nearest_index(prices.T)]
+        for layout in (prices, np.ascontiguousarray(prices.T).T):
+            got = fam.levels(tau, layout)
+            assert got.shape == (steps, n)
+            np.testing.assert_array_equal(got, want)
+        assert not want[t >= tau].any()
+        np.testing.assert_array_equal(fam.levels(tau, prices[:, :2]), want[:2])
+
+    def test_unsolved_horizon_and_extra_periods_rejected(self, desk_pm, desk_grid):
+        fam = self.family(desk_pm, desk_grid)
+        prices = np.full((3, 4), 20.0)
+        with pytest.raises(ValueError, match="no solved MDP for horizon 4"):
+            fam.levels(np.array([2, 4, 3]), prices)
+        with pytest.raises(ValueError, match="no solved MDP for horizon 7"):
+            fam.levels(np.array([2, 7, 3]), prices)
+        with pytest.raises(ValueError, match="levels reach 5 periods, got 6"):
+            fam.levels(np.array([2, 5, 3]), np.full((3, 6), 20.0))
 
 
 def _desk_policies(**mdp_changes):

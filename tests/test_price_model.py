@@ -16,7 +16,7 @@ from evcharge.price_model import (
 )
 
 from conftest import DESK_PM, FULL_PM
-from oracles import noise_dist_fold_and_trim
+from oracles import noise_dist_fold_and_trim, sample_paths_column_by_column
 
 
 def test_seasonality_calibrated_coefficients(full_pm):
@@ -151,6 +151,49 @@ def test_grid_points_are_a_read_only_copy():
     assert grid.points[0] == 10.0
 
 
+class TestNearestIndex:
+    GRID = PriceGrid(np.arange(10.0, 15.0))  # points 10..14
+
+    def reference(self, p):
+        # the division by the spacing, which is 1.0, that nearest_index leaves out
+        g = self.GRID
+        idx = np.rint((np.asarray(p, dtype=float) - g.points[0]) / g.step).astype(int)
+        return np.clip(idx, 0, len(g) - 1)
+
+    @pytest.mark.parametrize("p, want", [(12.4, 2), (np.float64(12.6), 3), (12, 2),
+                                         (np.array(13.2), 3), (-1e9, 0), (1e9, 4)])
+    def test_scalars(self, p, want):
+        # perfbench indexes the grid with the index of a float start price
+        idx = self.GRID.nearest_index(p)
+        assert np.ndim(idx) == 0 and idx == want
+        assert self.GRID.points[idx] == 10.0 + want
+
+    def test_half_integer_ties_round_half_to_even(self):
+        prices = [10.5, 11.5, 12.5, 13.5]  # offsets 0.5, 1.5, 2.5, 3.5
+        np.testing.assert_array_equal(self.GRID.nearest_index(prices), [0, 2, 2, 4])
+
+    def test_beyond_both_ends_clip(self):
+        prices = [-50.0, 9.0, 9.49, 9.5, 14.49, 14.5, 15.6, 400.0]
+        np.testing.assert_array_equal(self.GRID.nearest_index(prices),
+                                      [0, 0, 0, 0, 4, 4, 4, 4])
+
+    def test_strided_view_left_unchanged(self):
+        block = np.random.default_rng(3).uniform(5.0, 20.0, (9, 12))
+        block[0, :4] = [10.5, 11.5, 12.5, 13.5]
+        before = block.copy()
+        view = block[::2, ::3].T
+        assert not view.flags.c_contiguous and not view.flags.f_contiguous
+        got = self.GRID.nearest_index(view)
+        assert got.shape == view.shape
+        np.testing.assert_array_equal(got, self.reference(view.copy()))
+        np.testing.assert_array_equal(block, before)
+
+    def test_matches_the_division_by_the_spacing(self):
+        prices = np.random.default_rng(4).uniform(0.0, 25.0, 10_000)
+        prices[::7] = np.round(prices[::7]) + 0.5
+        np.testing.assert_array_equal(self.GRID.nearest_index(prices), self.reference(prices))
+
+
 def test_next_price_dist_point_mass(micro_pm, micro_grid):
     pm = PriceModelParams(kappa_Y=0.5, mu_Y=0.0, sigma_Y=0.0, mu_J=0.0, sigma_J=0.0,
                           jump_prob=0.0, seas_a=0.0, seas_b=0.0, seas_c=10.0, seas_period=4)
@@ -247,6 +290,30 @@ def test_transition_matrix_rows_stochastic(desk_pm, desk_grid):
             want = np.zeros(len(desk_grid))
             want[desk_grid.nearest_index(d.support)] = d.probs
             np.testing.assert_allclose(mat[i], want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("pm, p0, n, steps", [
+    (DESK_PM, 20.0, 1, 1),
+    (DESK_PM, 20.0, 1, 17),
+    (DESK_PM, 20.0, 300, 1),
+    (DESK_PM, 30.0, 300, 7),
+    (FULL_PM, 35.0, 1, 17),
+    (FULL_PM, 35.0, 500, 17),
+    (FULL_PM, 34.5, 500, 17),   # half way between two grid points
+    (FULL_PM, 57.5, 40, 3),
+    (FULL_PM, 0.1, 40, 3),      # (p0 - g(0)) + g(0) != p0
+])
+def test_sample_paths_bit_equal_to_column_recursion(pm, p0, n, steps):
+    draws = standard_draws(np.random.default_rng(steps * 1000 + n), n, steps)
+    paths = sample_paths(p0, pm, *draws)
+    want = sample_paths_column_by_column(p0, pm, *draws)
+    assert paths.shape == want.shape == (n, steps + 1)
+    assert np.ascontiguousarray(paths).tobytes() == want.tobytes()
+    assert np.all(paths[:, 0] == p0)
+    assert paths.T.flags.c_contiguous  # one contiguous row per period
+    # a path's prices depend only on its own draws
+    first = sample_paths(p0, pm, *(a[:1] for a in draws))
+    assert np.ascontiguousarray(first).tobytes() == want[:1].tobytes()
 
 
 def test_horizon_validation(full_pm):
