@@ -154,8 +154,8 @@ def fit_floats(cfg) -> str:
                       cfg.epsilons, cfg.n_paths, cfg.seed, cfg.p0, degree=cfg.degree,
                       risk_kind=cfg.risk_kind, delta=cfg.delta)
     floats = [result.reward_fit.l1_error, result.risk_fit.l1_error]
-    for row in result.rows:
-        floats += [row.lam, row.alpha]
+    for _, sel, _ in result.rows:
+        floats += [sel.lam, sel.alpha]
     return ",".join(map(repr, floats))
 
 

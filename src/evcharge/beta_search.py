@@ -146,23 +146,12 @@ def select_beta(reward_fit: MonotoneFit, risk_fit: MonotoneFit,
 
 
 @dataclass(frozen=True)
-class SelectionRow:
-    epsilon: float
-    lam: float
-    alpha: float
-    feasible: bool
-    reward: float
-    reward_se: float
-    risk: float
-    risk_se: float
-
-
-@dataclass(frozen=True)
 class PipelineResult:
     samples: tuple[BetaSample, ...]
     reward_fit: MonotoneFit
     risk_fit: MonotoneFit
-    rows: tuple[SelectionRow, ...]
+    # per epsilon: (epsilon, its selection, the selected family's metrics)
+    rows: tuple[tuple[float, SelectedBeta, PracticalMetrics], ...]
     rn: PracticalMetrics        # metrics of the risk-neutral (lam = 0) family
     default: PracticalMetrics   # metrics of continuous charging
 
@@ -211,8 +200,6 @@ def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
 
     selected = select_beta(reward_fit, risk_fit, epsilons)
     rn, *chosen = measure([(0.0, 0.5)] + [(sel.lam, sel.alpha) for sel in selected])
-    rows = [SelectionRow(float(eps), sel.lam, sel.alpha, sel.feasible,
-                         m.reward, m.reward_se, m.risk, m.risk_se)
-            for eps, sel, m in zip(epsilons, selected, chosen)]
     default = scenario.score(ContinuousChargePolicy(cfg), cfg, risk_kind=risk_kind, delta=delta)
-    return PipelineResult(tuple(samples), reward_fit, risk_fit, tuple(rows), rn, default)
+    return PipelineResult(tuple(samples), reward_fit, risk_fit,
+                          tuple(zip(map(float, epsilons), selected, chosen)), rn, default)

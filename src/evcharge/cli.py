@@ -192,8 +192,8 @@ def cmd_pipeline(args) -> int:
     # bracketed by the anchor policies: continuous-charging default and the risk-neutral MDP
     out = cfg.output_dir
     table = ([line("Default", "-", "-", "-", result.default)]
-             + [line(_fmt(r.epsilon), r.lam, r.alpha, str(r.feasible).lower(), r)
-                for r in result.rows]
+             + [line(_fmt(eps), sel.lam, sel.alpha, str(sel.feasible).lower(), m)
+                for eps, sel, m in result.rows]
              + [line("RN", "-", "-", "-", result.rn)])
     _write_csv(os.path.join(out, "selection_table.csv"),
                ["epsilon", "lambda_hat", "alpha_hat", "feasible", "reward",
@@ -204,7 +204,7 @@ def cmd_pipeline(args) -> int:
                 for s in result.samples))
     _write_csv(os.path.join(out, "beta_path.csv"),
                ["epsilon", "lambda_hat", "alpha_hat"],
-               ((r.epsilon, r.lam, r.alpha) for r in result.rows))
+               ((eps, sel.lam, sel.alpha) for eps, sel, _ in result.rows))
 
     ll, aa = beta_search.beta_grid(41, 41)
     _write_csv(os.path.join(out, "fitted_surfaces.csv"),

@@ -198,9 +198,15 @@ def from_dict(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(pm=pm, mdp=mdp, tau=tau, grid_span=fields["grid_span"],
                            output_dir=fields["output_dir"], **fields["simulation"],
                            **fields["beta_search"])
-    for field in ("sample_lambdas", "sample_alphas"):
+    for field in ("epsilons", "sample_lambdas", "sample_alphas"):
         if not getattr(cfg, field):
             raise ConfigError(f"beta_search.{field} must not be empty")
+    # the samples form a product grid, so the tensor basis has full column rank
+    # exactly when each axis has degree + 1 distinct values
+    distinct = [len(set(cfg.sample_lambdas)), len(set(cfg.sample_alphas))]
+    if min(distinct) <= cfg.degree:
+        raise ConfigError(f"beta_search.degree {cfg.degree} needs {cfg.degree + 1} distinct "
+                          f"sample_lambdas and sample_alphas, got {distinct[0]} and {distinct[1]}")
     if not 0.0 <= cfg.delta <= 1.0:
         raise ConfigError(f"simulation.delta must be in [0, 1], got {cfg.delta}")
     if cfg.risk_kind not in RISK_KINDS:

@@ -234,23 +234,23 @@ def _post_decision(v_next: np.ndarray, band: TransitionBand, kernel: list[np.nda
         np.matmul(v_next[..., j0:j1], k, out=out[..., i0:i1])
     steps = _price_steps(v_next, 0.0)
     dip = np.minimum(steps, 0.0, out=steps).sum(axis=-1)
+    # the flagged (member, row) pairs in C order, so members ascend
     members, flagged = np.nonzero(~(dip >= -GRID_ORDER_TOL / 2))
-    fallback, falling = np.zeros(len(rps), dtype=int), {}
-    for b in dict.fromkeys(members.tolist()):
-        rows = flagged[members == b]
-        v = v_next[b, rows]
-        rows = rows[(np.maximum.accumulate(v, axis=1) - v > GRID_ORDER_TOL).any(axis=1)]
-        if rows.size:
-            falling[b], fallback[b] = rows, rows.size * v_next.shape[-1]
-    if falling:
+    if members.size:
+        v = v_next[members, flagged]
+        falls = (np.maximum.accumulate(v, axis=1) - v > GRID_ORDER_TOL).any(axis=1)
+        members, flagged = members[falls], flagged[falls]
+    if members.size:
+        ids, starts = np.unique(members, return_index=True)
+        falling = list(zip(ids.tolist(), np.split(flagged, starts[1:])))
         # each price on the columns where its row of P_t is nonzero, ascending
         for (i0, i1, j0, j1), block in zip(band.spans, band.blocks(band.probs)):
             for ip, row in zip(range(i0, i1), block.T):
                 keep = np.flatnonzero(row)
-                for b, rows in falling.items():
+                for b, rows in falling:
                     out[b, rows, ip] = mean_cvar_rows(v_next[b][np.ix_(rows, j0 + keep)],
                                                       row[keep], rps[b])
-    return fallback
+    return np.bincount(members, minlength=len(rps)) * v_next.shape[-1]
 
 
 def _check_finite(table: np.ndarray, T: int, t: int) -> None:
@@ -340,13 +340,11 @@ def solve_horizons(cfg: MdpConfig, betas, pm: PriceModelParams, grid: PriceGrid,
 
     # one block per sweep: numpy advises huge pages for it, not for a single table
     block = np.empty((n_b, sum(2 * T + 1 for T in horizons), n_r, n_p))
-    values, post_values, at = {}, {}, 0
+    values, post_values, thresholds, fallback_rows, at = {}, {}, {}, {}, 0
     for T in horizons:
         values[T], post_values[T] = block[:, at:at + T + 1], block[:, at + T + 1:at + 2 * T + 1]
         at += 2 * T + 1
-    thresholds = {T: np.empty((n_b, T, n_p), dtype=int) for T in horizons}
-    fallback_rows = {}
-    for T in horizons:
+        thresholds[T] = np.empty((n_b, T, n_p), dtype=int)
         values[T][:, T], fallback_rows[T] = terminal_values(
             cfgs[T], [beta[T] for beta in betas], pm, grid)
         _check_finite(values[T][:, T], T, T)

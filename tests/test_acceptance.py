@@ -235,8 +235,8 @@ def test_criterion_9_pipeline_determinism(tmp_path):
     raw["simulation"]["n_paths"] = 50
     raw["tau"] = {"horizons": [2, 3], "probs": [0.5, 0.5]}
     raw["beta_search"] = {"degree": 2, "epsilons": [0.1, 0.5],
-                          "sample_lambdas": [0.0, 1.0],
-                          "sample_alphas": [0.2, 0.8]}
+                          "sample_lambdas": [0.0, 0.5, 1.0],
+                          "sample_alphas": [0.2, 0.5, 0.8]}
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(raw))
 

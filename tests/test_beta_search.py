@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evcharge import beta_search, mdp
 from evcharge.beta_search import BetaSample, MonotoneFit, fit, pipeline, select_beta
-from evcharge.config import DESK_SCALE, FULL_SCALE, from_dict, preset
+from evcharge.config import DESK_SCALE, FULL_SCALE, ConfigError, from_dict, preset
 from evcharge.mdp import solve
 from evcharge.policy_eval import TauDist
 from evcharge.price_model import PriceGrid
@@ -158,6 +160,24 @@ def test_preset_basis_has_full_rank_on_its_samples(name):
     assert np.linalg.matrix_rank(basis) == basis.shape[1]
 
 
+@given(lambdas=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=5),
+       alphas=st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]), min_size=1, max_size=5),
+       degree=st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_config_loads_exactly_when_its_basis_has_full_rank(lambdas, alphas, degree):
+    # a rank-deficient basis leaves the l1 fit free between the samples, where
+    # select_beta reads it: such a config fails at load, naming the degree
+    raw = copy.deepcopy(DESK_SCALE)
+    raw["beta_search"].update(degree=degree, sample_lambdas=lambdas, sample_alphas=alphas)
+    lam, alpha = np.array([(lam, alpha) for lam in lambdas for alpha in alphas]).T
+    basis = beta_search._basis(lam, alpha, degree)
+    if np.linalg.matrix_rank(basis) == basis.shape[1]:
+        from_dict(raw)
+    else:
+        with pytest.raises(ConfigError, match="beta_search.degree"):
+            from_dict(raw)
+
+
 def test_largest_rise_detects_increase():
     assert largest_rise(linear_fit(0.0, 1.0, 0.0)) > RISE_TOL
     assert largest_rise(linear_fit(1.0, -1.0, -0.5)) <= 0.0
@@ -260,8 +280,8 @@ def test_pipeline_solves_each_effective_beta_once(monkeypatch, sample_grid):
     assert result.rn.n_paths == 50
     solved = [beta for sweep in sweeps for beta in sweep]
     assert len(solved) == len(set(solved))
-    effective = {(lam, alpha) if lam > 0 else (0.0, 0.5)
-                 for lam, alpha in sample_grid + [(row.lam, row.alpha) for row in result.rows]}
+    selected = [(sel.lam, sel.alpha) for _, sel, _ in result.rows]
+    effective = {(lam, alpha) if lam > 0 else (0.0, 0.5) for lam, alpha in sample_grid + selected}
     assert set(solved) == effective | {(0.0, 0.5)}
     # the samples in one sweep, then what the selections and the anchor add
     assert len(sweeps) <= 2
@@ -272,6 +292,30 @@ def test_pipeline_solves_each_effective_beta_once(monkeypatch, sample_grid):
     for s in result.samples:
         if s.lam == 0.0:
             assert (s.reward, s.risk) == (result.rn.reward, result.rn.risk)
+
+
+def test_pipeline_rows_keep_the_selection_and_its_metrics():
+    # each row holds select_beta's own result for its epsilon, fitted values
+    # included, and the metrics of the family it selects; a selected beta that
+    # was sampled (any alpha at lam = 0) scores as its sample did.  From p0 = 30
+    # the sampled rewards differ, so a row paired with another family shows
+    cfg = preset("desk_scale")
+    epsilons = cfg.epsilons + (-1.0,)  # no beta is feasible at -1
+    result = pipeline(cfg.sample_grid(), cfg.mdp, cfg.pm, cfg.build_grid(), cfg.tau,
+                      epsilons, cfg.n_paths, cfg.seed, 30.0, degree=cfg.degree,
+                      risk_kind=cfg.risk_kind, delta=cfg.delta)
+    assert len({s.reward for s in result.samples}) > 1
+    assert [eps for eps, _, _ in result.rows] == list(epsilons)
+    sampled = 0
+    for eps, sel, m in result.rows:
+        assert sel == select_beta(result.reward_fit, result.risk_fit, [eps])[0]
+        assert m.n_paths == cfg.n_paths
+        for s in result.samples:
+            if (s.lam, s.alpha) == (sel.lam, sel.alpha) or s.lam == sel.lam == 0.0:
+                assert (m.reward, m.reward_se, m.risk, m.risk_se) == (
+                    s.reward, s.reward_se, s.risk, s.risk_se)
+                sampled += 1
+    assert sampled > 0
 
 
 @pytest.mark.parametrize("lam,alpha", [(0.0, 0.5), (0.6, 0.8)])

@@ -101,6 +101,11 @@ BAD_FIELDS = [
     # an empty sample list left the pipeline nothing to fit
     ("beta_search", "sample_lambdas", [], "beta_search.sample_lambdas"),
     ("beta_search", "sample_alphas", [], "beta_search.sample_alphas"),
+    # no epsilon left the selection table with only its Default and RN rows
+    ("beta_search", "epsilons", [], "beta_search.epsilons"),
+    # 36 basis columns over 9 samples: the fit interpolated, free between them
+    ("beta_search", "degree", 5, "beta_search.degree"),
+    ("beta_search", "sample_lambdas", [0.0, 0.0, 1.0], "beta_search.degree"),
     # r_max = 0 divides by zero in the indicator risk
     ("mdp", "r_max", 0, "mdp: r_max"),
     # a negative cap pays a negative linear-capped compensation rate

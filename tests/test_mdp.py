@@ -475,6 +475,29 @@ class TestBatch:
         np.testing.assert_allclose(post[1], sort_path_post(v_next[1], trans, rps[1]),
                                    rtol=0, atol=1e-12)
 
+    def test_post_decision_clears_a_flagged_member_that_does_not_fall(self, desk_grid):
+        # the dip screen flags a sawtooth row of member 0 and falling rows of
+        # members 1 and 2; the exact test clears the sawtooth, so member 0 keeps
+        # its linear-kernel step and counts 0, and the others fall back per row
+        trans, band = transition_band(desk_grid, 0)
+        rng = np.random.default_rng(5)
+        n_p = len(desk_grid)
+        v_next = np.cumsum(rng.exponential(0.05, (3, 6, n_p)), axis=2)
+        v_next[0, 2] = 1.0 - 9e-13 * (np.arange(n_p) % 2)
+        v_next[1, [1, 4], n_p // 2:] -= 1.0
+        v_next[2, 3, n_p // 3:] -= 2.0
+        assert -np.minimum(np.diff(v_next[0, 2]), 0.0).sum() > mdp.GRID_ORDER_TOL
+        rps = [RiskParams(0.3, 0.6), RiskParams(0.9, 0.95), RiskParams(0.6, 0.2)]
+        post = np.empty(v_next.shape)
+        counts = _post_decision(v_next, band, band.kernel(rps), rps, post)
+        assert counts.tolist() == [0, 2 * n_p, n_p]
+        for b, rp in enumerate(rps):
+            alone = np.empty((6, n_p))
+            assert post_decision(v_next[b], band, rp, alone) == counts[b]
+            assert post[b].tobytes() == alone.tobytes()
+            np.testing.assert_allclose(post[b], sort_path_post(v_next[b], trans, rp),
+                                       rtol=0, atol=1e-12)
+
     def test_members_share_no_memory(self, desk_pm, desk_grid):
         # every table of a batch is its own run of the sweep's one block
         cfg = desk_cfg(horizon=4)
