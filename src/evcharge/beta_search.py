@@ -64,10 +64,17 @@ class MonotoneFit:
         shape = np.broadcast_shapes(lam.shape, alpha.shape)
         c = self.coef.reshape(self.coef.shape + (1,) * len(shape))
         # de Casteljau along lam, then along alpha: a lam column and an alpha
-        # row cost one pass per axis, and equal coefficients give their value exactly
+        # row cost one pass per axis, and equal coefficients give their value
+        # exactly.  Each level is c[:k] + x * (c[1:k+1] - c[:k]), computed in
+        # place in one buffer per axis
         for x in (lam, alpha):
-            while len(c) > 1:
-                c = c[:-1] + x * np.diff(c, axis=0)
+            c = np.array(np.broadcast_to(
+                c, c.shape[:1] + np.broadcast_shapes(c.shape[1:], x.shape)))
+            step = np.empty_like(c[1:])
+            for k in range(len(c) - 1, 0, -1):
+                np.subtract(c[1:k + 1], c[:k], out=step[:k])
+                step[:k] *= x
+                c[:k] += step[:k]
             c = c[0]
         return np.broadcast_to(c, shape)
 
@@ -134,7 +141,11 @@ def select_beta(reward_fit: MonotoneFit, risk_fit: MonotoneFit,
     grid point, the risk-minimizing point is returned flagged infeasible.
     """
     ll, aa = beta_grid(201, 199)
-    reward, risk = (f(ll[:, :1], aa[0]).ravel() for f in (reward_fit, risk_fit))
+    # each surface 64 lam rows at a time, so that a block's alpha passes stay
+    # in cache; every grid value is the one a single call gives
+    blocks = [ll[i:i + 64, :1] for i in range(0, len(ll), 64)]
+    reward, risk = (np.concatenate([f(lam, aa[0]) for lam in blocks]).ravel()
+                    for f in (reward_fit, risk_fit))
     out = []
     for eps in epsilons:
         feasible = risk <= float(eps)
@@ -174,8 +185,10 @@ def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
     every family, and one Scenario scores every family and the Default.  Each
     distinct effective beta is solved and scored once, the samples' in one
     round of batched sweeps and the selections' not yet solved in a second
-    (see mdp.batches).  Alpha plays no part when lam = 0, so every
-    risk-neutral pair, the RN anchor included, shares one evaluation."""
+    (see mdp.batches); each solved batch is scored in one Scenario.score call,
+    which takes the prices' grid index and gamma_Y once for all its families.
+    Alpha plays no part when lam = 0, so every risk-neutral pair, the RN
+    anchor included, shares one evaluation."""
     scenario = Scenario.sample(tau_dist, pm, p0, n_paths, seed)
     horizon = max(int(T) for T in tau_dist.horizons)
     cache: dict[tuple[float, float], PracticalMetrics] = {}
@@ -186,9 +199,9 @@ def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
                            cfg, grid, tau_dist.horizons):
             betas = [RiskSchedule.homogeneous(lam, alpha, horizon) for lam, alpha in run]
             # scored in the statement that solves them: no family outlives its batch
-            cache.update(zip(run, [
-                scenario.score(ThresholdPolicyFamily(sols), cfg, risk_kind=risk_kind, delta=delta)
-                for sols in solve_horizons(cfg, betas, pm, grid, tau_dist.horizons)]))
+            cache.update(zip(run, scenario.score(
+                ThresholdPolicyFamily(solve_horizons(cfg, betas, pm, grid, tau_dist.horizons)),
+                cfg, risk_kind=risk_kind, delta=delta)))
         return [cache[k] for k in keys]
 
     sample_grid = list(sample_grid)

@@ -6,7 +6,10 @@ holds every path's tau and prices, drawn before any policy is consulted, so
 the policies scored on one Scenario share common random numbers, as do
 Scenarios with one seed: a path's draws depend only on (seed, path index).
 Every policy is a basestock level per (period, path), as the optimal one is,
-and all paths step together through one charge rule, basestock.
+and all paths step together through one charge rule, basestock.  The
+families of one mdp.solve_horizons batch are scored in one call: the prices'
+grid lookup and the compensation rate are taken once, and every family's
+paths step, are priced and are reduced together along a leading family axis.
 
 The purchase made at t is priced at P_{t+1}, whereas mdp.solve optimizes the
 cost x P_t, so the simulator scores a cost the solver did not minimize.
@@ -63,37 +66,44 @@ class PracticalMetrics:
     n_paths: int
 
 
-def basestock(level, r, cfg: MdpConfig):
+def basestock(level, r, cfg: MdpConfig, out=None):
     """The charge after one period from charge r: up to level, by at most
-    x_max and never past r_max; at or above level the charge holds."""
-    return np.minimum(np.maximum(level, r), np.minimum(r + cfg.x_max, cfg.r_max))
+    x_max and never past r_max; at or above level the charge holds.  Written
+    into out, if given, which must not share memory with r."""
+    return np.minimum(np.maximum(level, r, out=out), np.minimum(r + cfg.x_max, cfg.r_max), out=out)
 
 
 class ThresholdPolicyFamily:
     """The optimal policy family: one solved MDP per reservation length, its
     thresholds stacked into one table indexed by (tau, t, grid price), zero
-    past each horizon."""
+    past each horizon.  Built from a list of families, as mdp.solve_horizons
+    returns one batch, the table and the levels gain a leading family axis."""
 
-    def __init__(self, solutions: dict[int, MdpSolution]):
-        self.solutions = dict(solutions)
-        self.grid = next(iter(self.solutions.values())).grid
-        max_h = max(self.solutions)
-        self.table = np.zeros((max_h + 1, max_h, len(self.grid)), int)
-        for h, sol in self.solutions.items():
-            self.table[h, :h] = sol.thresholds
+    def __init__(self, solutions: dict[int, MdpSolution] | list[dict[int, MdpSolution]]):
+        self.solutions = solutions
+        families = [solutions] if isinstance(solutions, dict) else list(solutions)
+        self.horizons = set.intersection(*(set(f) for f in families))  # solved in every family
+        self.grid = next(iter(families[0].values())).grid
+        max_h = max(max(f) for f in families)
+        table = np.zeros((len(families), max_h + 1, max_h, len(self.grid)), int)
+        for b, family in enumerate(families):
+            for h, sol in family.items():
+                table[b, h, :h] = sol.thresholds
+        self.table = table[0] if isinstance(solutions, dict) else table
 
     def levels(self, tau: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """(periods, paths) thresholds at each path's horizon, period and
-        nearest grid price, for prices (paths, periods)."""
-        missing = set(np.flatnonzero(np.bincount(tau)).tolist()) - set(self.solutions)
+        """([families,] periods, paths) thresholds at each path's horizon, period
+        and nearest grid price, for prices (paths, periods): one lookup of the
+        prices and one take per family from the flat table."""
+        missing = set(np.flatnonzero(np.bincount(tau)).tolist()) - self.horizons
         if missing:
             raise ValueError(f"no solved MDP for horizon {min(missing)}")
-        max_h, n_grid = self.table.shape[1:]
+        max_h, n_grid = self.table.shape[-2:]
         if prices.shape[1] > max_h:
             raise ValueError(f"levels reach {max_h} periods, got {prices.shape[1]}")
-        flat = self.grid.nearest_index(prices.T)  # index into table.ravel()
+        flat = self.grid.nearest_index(prices.T)  # index into each family's raveled table
         flat += (tau * max_h + np.arange(prices.shape[1])[:, None]) * n_grid
-        return self.table.ravel().take(flat)
+        return self.table.reshape(self.table.shape[:-3] + (-1,)).take(flat, axis=-1)
 
 
 class ContinuousChargePolicy:
@@ -113,15 +123,18 @@ class NeverChargePolicy:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """n simulated reservations: tau (n,), prices P_0..P_{K+1} (n, K+2) and
-    charges R_0..R_K (n, K+1), K the largest horizon of the tau distribution.
-    Simulated prices and charges are views of time-major blocks, one contiguous
-    row per period.  Past a path's tau the prices run on and the charge holds
-    (purchase 0)."""
+    """n simulated reservations: tau (n,), prices P_0..P_{K+1} (n, K+2),
+    charges R_0..R_K (n, K+1), K the largest horizon of the tau distribution,
+    and energy_cost (n,), each path's purchases priced, $: the purchase made at
+    t is priced at P_{t+1}.  A batch of families puts a leading family axis on
+    charges and energy_cost.  Simulated prices and charges are views of
+    time-major blocks, one contiguous row per period.  Past a path's tau the
+    prices run on and the charge holds (purchase 0)."""
 
     tau: np.ndarray
     prices: np.ndarray
     charges: np.ndarray
+    energy_cost: np.ndarray
 
 
 def draw(tau_dist: TauDist, n_paths: int, seed: int):
@@ -137,24 +150,22 @@ def draw(tau_dist: TauDist, n_paths: int, seed: int):
 
 
 def compensation(paths: PathBatch, cfg: MdpConfig, pm: PriceModelParams) -> np.ndarray:
-    """Per-path inconvenience compensation paid at tau + 1, $."""
+    """Per-path inconvenience compensation paid at tau + 1, $, per family of a
+    batch; gamma_Y of the deseasonalized P_{tau+1} is taken once for all."""
     p_end = paths.prices[np.arange(len(paths.tau)), paths.tau + 1]
     y = (p_end - pm.seasonality(np.arange(paths.prices.shape[1]))[paths.tau + 1]) * MWH_PER_KWH
-    return cfg.compensation(cfg.shortfall(paths.tau, paths.charges[:, -1]), cfg.gamma_y(y))
+    return cfg.compensation(cfg.shortfall(paths.tau, paths.charges[..., -1]), cfg.gamma_y(y))
 
 
 def practical_reward(paths: PathBatch, cfg: MdpConfig, pm: PriceModelParams) -> np.ndarray:
-    """Per-path reward: fees collected minus energy cost minus compensation.
-    The purchase made at t is priced at P_{t+1}."""
-    purchases = np.diff(paths.charges, axis=1)
-    energy_cost = (purchases * paths.prices[:, 1:-1]).sum(axis=1) * MWH_PER_KWH
-    return cfg.c_f * paths.tau - energy_cost - compensation(paths, cfg, pm)
+    """Per-path reward: fees collected minus energy cost minus compensation."""
+    return cfg.c_f * paths.tau - paths.energy_cost - compensation(paths, cfg, pm)
 
 
 def practical_risk(paths: PathBatch, metric_kind: str, cfg: MdpConfig,
                    pm: PriceModelParams, delta: float = 0.3) -> np.ndarray:
     """Per-path risk outcome for the selected metric kind."""
-    final = paths.charges[:, -1]
+    final = paths.charges[..., -1]
     if metric_kind == "indicator":
         return (final / cfg.r_max <= 1.0 - delta).astype(float)
     if metric_kind == "compensation":
@@ -164,11 +175,13 @@ def practical_risk(paths: PathBatch, metric_kind: str, cfg: MdpConfig,
     raise ValueError(f"unknown practical risk kind {metric_kind!r}")
 
 
-def _aggregate(outcomes: np.ndarray, how: str, alpha: float, seed: int) -> tuple[float, float]:
-    """(estimate, SE) of outcomes by how in RISK_AGGS; "cvar" is for the tests and perfbench."""
-    n = len(outcomes)
+def _aggregate(outcomes: np.ndarray, how: str, alpha: float, seed: int) -> tuple:
+    """(estimate, SE) of outcomes along the path axis, the last, by how in
+    RISK_AGGS: "mean" gives one of each per leading index; "cvar" takes one
+    row of paths, gives floats and is for the tests and perfbench."""
+    n = outcomes.shape[-1]
     if how == "mean":
-        return float(outcomes.mean()), float(outcomes.std(ddof=1) / np.sqrt(n))
+        return outcomes.mean(axis=-1), outcomes.std(ddof=1, axis=-1) / np.sqrt(n)
     # sample CVaR across paths with a bootstrap standard error.  The outcomes are
     # sorted once; a replicate weighs each sorted outcome by how often its
     # resample drew that path, so no replicate is sorted and memory stays O(n)
@@ -207,31 +220,51 @@ class Scenario:
         return cls(tau, sample_paths(p0, pm, *noise), pm, seed)
 
     def simulate(self, policy, cfg: MdpConfig) -> PathBatch:
-        """Every path under policy's basestock levels, each 0 (hold) from its tau on."""
-        steps = int(self.tau.max())
-        level = np.broadcast_to(policy.levels(self.tau, self.prices[:, :steps]),
-                                (steps, len(self.tau)))
-        charges = np.empty((self.prices.shape[1] - 1, len(self.tau)), dtype=int)
+        """Every path under policy's basestock levels, each 0 (hold) from its tau
+        on.  Levels with a leading family axis (a ThresholdPolicyFamily batch)
+        step every family's paths in the one loop, which prices each period's
+        purchases as it goes; the PathBatch then carries that axis."""
+        steps, n = int(self.tau.max()), len(self.tau)
+        level = policy.levels(self.tau, self.prices[:, :steps])
+        batch = np.ndim(level) == 3
+        level = np.broadcast_to(level, (len(level) if batch else 1, steps, n))
+        prices = self.prices.T  # the time-major block
+        # one time-major row of every family's paths per period
+        charges = np.empty((len(prices) - 1,) + level.shape[::2], dtype=int)
         charges[0] = cfg.r0
-        for t in range(steps):  # one time-major row per period
-            charges[t + 1] = basestock(level[t], charges[t], cfg)
+        cost, bought, priced = (np.zeros(charges.shape[1:]), np.empty(charges.shape[1:], int),
+                                np.empty(charges.shape[1:]))
+        for t in range(steps):
+            basestock(level[:, t], charges[t], cfg, out=charges[t + 1])
+            # added in t order, as a sum over the time-major purchases would be
+            cost += np.multiply(np.subtract(charges[t + 1], charges[t], out=bought),
+                                prices[t + 1], out=priced)
         charges[steps + 1:] = charges[steps]
-        return PathBatch(self.tau, self.prices, charges.T)
+        cost *= MWH_PER_KWH
+        if batch:
+            return PathBatch(self.tau, self.prices, charges.transpose(1, 2, 0), cost)
+        return PathBatch(self.tau, self.prices, charges[:, 0].T, cost[0])
 
     def score(self, policy, cfg: MdpConfig, risk_kind: str = "indicator",
               risk_agg: str = "mean", agg_alpha: float = 0.9,
-              delta: float = 0.3) -> PracticalMetrics:
-        """Estimated practical reward and risk of policy, with standard errors."""
+              delta: float = 0.3) -> PracticalMetrics | list[PracticalMetrics]:
+        """Estimated practical reward and risk of policy, with standard errors:
+        one PracticalMetrics per family of a batch (see simulate), reduced along
+        the path axis for every family at once."""
         n_paths = len(self.tau)
         if n_paths < 2:
             raise ValueError("n_paths must be >= 2")
         if risk_agg not in RISK_AGGS:
             raise ValueError(f"unknown risk aggregation {risk_agg!r}")
         paths = self.simulate(policy, cfg)
-        reward = _aggregate(practical_reward(paths, cfg, self.pm), "mean", agg_alpha, self.seed)
-        risk = _aggregate(practical_risk(paths, risk_kind, cfg, self.pm, delta), risk_agg,
-                          agg_alpha, self.seed)
-        return PracticalMetrics(*reward, *risk, n_paths)
+        rewards = practical_reward(paths, cfg, self.pm).reshape(-1, n_paths)
+        risks = practical_risk(paths, risk_kind, cfg, self.pm, delta).reshape(-1, n_paths)
+        reward = _aggregate(rewards, "mean", agg_alpha, self.seed)
+        risk = (_aggregate(risks, "mean", agg_alpha, self.seed) if risk_agg == "mean" else
+                np.transpose([_aggregate(row, risk_agg, agg_alpha, self.seed) for row in risks]))
+        metrics = [PracticalMetrics(*m, n_paths)
+                   for m in zip(*map(np.ndarray.tolist, (*reward, *risk)))]
+        return metrics if paths.charges.ndim == 3 else metrics[0]
 
 
 def estimate(policy, tau_dist: TauDist, cfg: MdpConfig, pm: PriceModelParams,

@@ -321,3 +321,32 @@ def l1_fit_inequality_form(data, target: str, degree: int) -> float:
                   bounds=[(None, None)] * k + [(0, None)] * n, method="highs-ipm")
     assert res.success, res.message
     return float(np.abs(phi @ res.x[:k] - y).sum())
+
+
+def score_alone(scenario, policy, cfg: MdpConfig, risk_kind: str,
+                delta: float = 0.3) -> tuple[float, float, float, float]:
+    """Reference for Scenario.score with risk_agg="mean": (reward, reward SE,
+    risk, risk SE) of one policy alone, its charges stepped one time-major row
+    per period and its purchases priced afterwards, np.diff of the charges
+    times P_1..P_K summed over the periods of the (paths, periods) view."""
+    tau, prices = scenario.tau, scenario.prices
+    n, steps = len(tau), int(tau.max())
+    level = np.broadcast_to(policy.levels(tau, prices[:, :steps]), (steps, n))
+    block = np.empty((prices.shape[1] - 1, n), dtype=int)
+    block[0] = cfg.r0
+    for t in range(steps):
+        r = block[t]
+        block[t + 1] = np.minimum(np.maximum(level[t], r), np.minimum(r + cfg.x_max, cfg.r_max))
+    block[steps + 1:] = block[steps]
+    charges, final = block.T, block[-1]
+    energy = (np.diff(charges, axis=1) * prices[:, 1:-1]).sum(axis=1) * MWH_PER_KWH
+    y = (prices[np.arange(n), tau + 1]
+         - scenario.pm.seasonality(np.arange(prices.shape[1]))[tau + 1]) * MWH_PER_KWH
+    short = np.maximum(np.minimum(cfg.r0 + tau * cfg.x_max, cfg.r_max) - final, 0)
+    comp = (1.0 + cfg.gamma_h * short + cfg.gamma_y(y)) * short * cfg.p_ref
+    risk = {"indicator": (final / cfg.r_max <= 1.0 - delta).astype(float),
+            "compensation": comp, "shortage": short.astype(float)}[risk_kind]
+    out = []
+    for x in (cfg.c_f * tau - energy - comp, risk):
+        out += [float(x.mean()), float(x.std(ddof=1) / np.sqrt(n))]
+    return tuple(out)

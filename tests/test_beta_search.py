@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evcharge import beta_search, mdp
-from evcharge.beta_search import BetaSample, MonotoneFit, fit, pipeline, select_beta
+from evcharge.beta_search import (BetaSample, MonotoneFit, SelectedBeta, fit, pipeline,
+                                  select_beta)
 from evcharge.config import DESK_SCALE, FULL_SCALE, ConfigError, from_dict, preset
 from evcharge.mdp import solve
-from evcharge.policy_eval import TauDist
+from evcharge.policy_eval import Scenario, TauDist
 from evcharge.price_model import PriceGrid
 from evcharge.risk import RiskParams, RiskSchedule
 
@@ -119,16 +120,38 @@ def test_flat_fit_is_exactly_flat_and_keeps_the_tie_break():
         assert (sel.lam, sel.alpha, sel.feasible) == (0.0, 0.005, True), eps
 
 
-def pipeline_desk_samples(seed):
-    """The sampled betas of the desk preset run with the full-scale
-    beta_search block from p0 = 30, where the sampled rewards differ."""
+def pipeline_desk_cfg(seed):
+    """The desk preset with the full-scale beta_search block from p0 = 30,
+    where the sampled rewards differ (the benchmark's pipeline-desk config)."""
     raw = copy.deepcopy(DESK_SCALE)
     raw["beta_search"] = copy.deepcopy(FULL_SCALE["beta_search"])
     raw["simulation"].update(p0=30.0, seed=seed)
-    cfg = from_dict(raw)
+    return from_dict(raw)
+
+
+def pipeline_desk_samples(seed):
+    """The sampled betas of pipeline_desk_cfg(seed)."""
+    cfg = pipeline_desk_cfg(seed)
     result = pipeline(cfg.sample_grid(), cfg.mdp, cfg.pm, cfg.build_grid(), cfg.tau,
-                      cfg.epsilons, cfg.n_paths, cfg.seed, cfg.p0, degree=0)
+                      cfg.epsilons, cfg.n_paths, cfg.seed, cfg.p0, degree=0,
+                      risk_kind=cfg.risk_kind, delta=cfg.delta)
     return list(result.samples)
+
+
+def test_pipeline_samples_equal_each_family_scored_alone():
+    # pipeline scores each solved batch of families in one call; every sample
+    # equals its family solved and scored alone on a Scenario of the same seed
+    cfg = pipeline_desk_cfg(7)
+    grid = cfg.build_grid()
+    scenario = Scenario.sample(cfg.tau, cfg.pm, cfg.p0, cfg.n_paths, cfg.seed)
+    samples = pipeline_desk_samples(7)
+    assert len(samples) == 110 and len({s.reward for s in samples}) > 1
+    for s in samples:
+        family = beta_search.solve_family(s.lam, s.alpha, cfg.mdp, cfg.pm, grid,
+                                          cfg.tau.horizons)
+        m = scenario.score(family, cfg.mdp, risk_kind=cfg.risk_kind, delta=cfg.delta)
+        assert (s.reward, s.reward_se, s.risk, s.risk_se) == (m.reward, m.reward_se,
+                                                              m.risk, m.risk_se)
 
 
 @pytest.mark.parametrize("seed", [3, 7, 12, 23])
@@ -248,6 +271,22 @@ class TestSelectBeta:
         assert together == tuple(select_beta(reward, risk, [e])[0] for e in epsilons)
         assert [s.feasible for s in together] == [False] + [True] * 6
         assert len({(s.lam, s.alpha) for s in together}) > 2
+
+    @pytest.mark.parametrize("degree", [0, 2, 10])
+    def test_selection_equals_the_argmax_over_one_whole_grid_evaluation(self, degree):
+        # select_beta evaluates the surfaces a block of lam rows at a time; each
+        # selection, fitted values included, is the one read off one evaluation
+        # of the whole grid
+        rng = np.random.default_rng(degree)
+        reward, risk = (MonotoneFit(rng.normal(size=(degree + 1, degree + 1)), 0.0)
+                        for _ in range(2))
+        ll, aa = beta_search.beta_grid(201, 199)
+        r, k = reward(ll, aa).ravel(), risk(ll, aa).ravel()
+        epsilons = [k.min() - 1.0, *np.quantile(k, [0.0, 0.3, 0.7, 1.0])]
+        for eps, sel in zip(epsilons, select_beta(reward, risk, epsilons)):
+            feasible = k <= eps
+            i = np.argmax(np.where(feasible, r, -np.inf)) if feasible.any() else np.argmin(k)
+            assert sel == SelectedBeta(ll.flat[i], aa.flat[i], bool(feasible.any()), r[i], k[i])
 
 
 def test_beta_grid_shape():

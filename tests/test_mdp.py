@@ -168,7 +168,8 @@ class TestTerminal:
         prices = np.zeros((len(r), T + 2))
         prices[:, T + 1] = p * desk_pm.decay + psi.support[k]
         charges = np.repeat(r[:, None], T + 1, axis=1)
-        paid = compensation(PathBatch(np.full(len(r), T), prices, charges), cfg, desk_pm)
+        # compensation reads no energy cost
+        paid = compensation(PathBatch(np.full(len(r), T), prices, charges, None), cfg, desk_pm)
         expected = (paid * psi.probs[k]).reshape(cfg.r_max + 1, -1, len(psi.support)).sum(axis=2)
         np.testing.assert_allclose(values[:, ::4], expected, rtol=0, atol=1e-12)
 

@@ -5,13 +5,15 @@ import pytest
 
 from evcharge.beta_search import solve_family
 from evcharge.config import preset
-from evcharge.mdp import MWH_PER_KWH, MdpConfig
+from evcharge.mdp import MWH_PER_KWH, MdpConfig, solve_horizons
 from evcharge.policy_eval import (
     ContinuousChargePolicy,
     NeverChargePolicy,
     PathBatch,
+    PracticalMetrics,
     Scenario,
     TauDist,
+    ThresholdPolicyFamily,
     _aggregate,
     compensation,
     draw,
@@ -19,9 +21,11 @@ from evcharge.policy_eval import (
     practical_reward,
     practical_risk,
 )
+from evcharge.risk import RiskSchedule
 
 from conftest import DESK_PM, desk_cfg
-from oracles import bootstrap_cvar, sample_paths_column_by_column, simulate_path_by_path
+from oracles import (bootstrap_cvar, sample_paths_column_by_column, score_alone,
+                     simulate_path_by_path)
 
 
 def small_tau():
@@ -169,8 +173,11 @@ def _desk_policies(**mdp_changes):
                  "never": NeverChargePolicy()}
 
 
+BATCH_FIELDS = ("tau", "prices", "charges", "energy_cost")
+
+
 def _same_batch(a, b):
-    for name in ("tau", "prices", "charges"):
+    for name in BATCH_FIELDS:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -213,8 +220,7 @@ class TestArraySimulator:
         for pol in policies.values():
             big = self.scenario(cfg, 500, 9).simulate(pol, cfg.mdp)
             small = self.scenario(cfg, 37, 9).simulate(pol, cfg.mdp)
-            _same_batch(small, PathBatch(*(getattr(big, f)[:37] for f in
-                                           ("tau", "prices", "charges"))))
+            _same_batch(small, PathBatch(*(getattr(big, f)[:37] for f in BATCH_FIELDS)))
 
     def test_common_random_numbers(self):
         cfg, policies = _desk_policies()
@@ -249,18 +255,108 @@ def test_scenario_scores_equal_estimate():
     np.testing.assert_array_equal(scenario.prices, prices)
 
 
+class FixedLevels:
+    """A policy whose levels are given, (periods, paths)."""
+
+    def __init__(self, levels):
+        self.fixed = np.array(levels)
+
+    def levels(self, tau, prices):
+        return self.fixed
+
+
+def hand_simulated(cfg, levels, prices, tau=2):
+    """The simulator's PathBatch of every row of prices under levels."""
+    prices = np.array(prices)
+    return Scenario(np.full(len(prices), tau), prices, DESK_PM, 0).simulate(
+        FixedLevels(levels), cfg)
+
+
+BATCH_BETAS = [(0.0, 0.5), (0.3, 0.7), (0.7, 0.9), (1.0, 0.98), (0.5, 0.05)]
+
+
+def _desk_batch(mdp_changes, horizons=None, betas=BATCH_BETAS):
+    """The desk preset under mdp_changes and the families of betas solved in
+    one sweep over horizons (the preset's by default)."""
+    cfg = preset("desk_scale")
+    cfg = dataclasses.replace(cfg, mdp=dataclasses.replace(cfg.mdp, **mdp_changes))
+    horizons = horizons or cfg.tau.horizons
+    schedules = [RiskSchedule.homogeneous(lam, alpha, max(horizons)) for lam, alpha in betas]
+    return cfg, solve_horizons(cfg.mdp, schedules, cfg.pm, cfg.build_grid(), horizons)
+
+
+class TestBatchScore:
+    """Scoring the families of one solve_horizons batch in one call, against
+    scoring each alone and against the single-policy reference."""
+
+    P0 = 30.0  # desk start price at which the families differ
+
+    @pytest.mark.parametrize("mdp_changes", [
+        {}, {"x_max": 5}, {"gamma_y_kind": "linear-capped", "gamma_y_cap": 0.01}],
+        ids=["fast", "slow", "linear-capped"])
+    @pytest.mark.parametrize("risk_kind,risk_agg", [
+        ("indicator", "mean"), ("compensation", "mean"), ("shortage", "mean"),
+        ("compensation", "cvar")])
+    def test_batch_equals_each_family_alone(self, mdp_changes, risk_kind, risk_agg):
+        cfg, families = _desk_batch(mdp_changes)
+        scenario = Scenario.sample(cfg.tau, cfg.pm, self.P0, 500, 13)
+        batch = ThresholdPolicyFamily(families)
+        got = scenario.score(batch, cfg.mdp, risk_kind=risk_kind, risk_agg=risk_agg,
+                             delta=cfg.delta)
+        paths = scenario.simulate(batch, cfg.mdp)
+        assert len(got) == len(families) and paths.charges.shape[0] == len(families)
+        for b, sols in enumerate(families):
+            family = ThresholdPolicyFamily(sols)
+            alone = scenario.score(family, cfg.mdp, risk_kind=risk_kind, risk_agg=risk_agg,
+                                   delta=cfg.delta)
+            assert got[b] == alone
+            one = scenario.simulate(family, cfg.mdp)
+            assert np.array_equal(paths.charges[b], one.charges)
+            assert np.array_equal(paths.energy_cost[b], one.energy_cost)
+            if risk_agg == "mean":
+                assert (alone.reward, alone.reward_se, alone.risk, alone.risk_se) == score_alone(
+                    scenario, family, cfg.mdp, risk_kind, cfg.delta)
+        assert len({(m.reward, m.risk) for m in got}) > 1  # the families differ
+
+    def test_family_missing_a_drawn_horizon_rejected(self):
+        _, full = _desk_batch({}, betas=BATCH_BETAS[:2])
+        cfg, short = _desk_batch({}, horizons=(2, 4), betas=BATCH_BETAS[2:3])
+        batch = ThresholdPolicyFamily(full + short)
+        scenario = Scenario.sample(cfg.tau, cfg.pm, self.P0, 200, 13)
+        assert 3 in scenario.tau
+        with pytest.raises(ValueError, match="no solved MDP for horizon 3"):
+            scenario.score(batch, cfg.mdp)
+        with pytest.raises(ValueError, match="no solved MDP for horizon 3"):
+            scenario.simulate(batch, cfg.mdp)
+
+    @pytest.mark.parametrize("risk_kind", ["indicator", "compensation", "shortage"])
+    def test_batch_of_one_equals_the_single_policy_reference(self, risk_kind):
+        cfg, (sols,) = _desk_batch({}, betas=BATCH_BETAS[2:3])
+        scenario = Scenario.sample(cfg.tau, cfg.pm, self.P0, 500, 13)
+        for policy in (ThresholdPolicyFamily(sols), ContinuousChargePolicy(cfg.mdp),
+                       NeverChargePolicy()):
+            want = PracticalMetrics(*score_alone(scenario, policy, cfg.mdp, risk_kind,
+                                                 cfg.delta), 500)
+            assert scenario.score(policy, cfg.mdp, risk_kind=risk_kind, delta=cfg.delta) == want
+        (one,) = scenario.score(ThresholdPolicyFamily([sols]), cfg.mdp, risk_kind=risk_kind,
+                                delta=cfg.delta)
+        assert one == scenario.score(ThresholdPolicyFamily(sols), cfg.mdp, risk_kind=risk_kind,
+                                     delta=cfg.delta)
+
+
 class TestMetrics:
-    def hand_paths(self):
+    def hand_paths(self, cfg):
         # one path, tau = 2, prices in $/MWh, charge 4 then 2
-        prices = np.array([[20.0, 30.0, 25.0, 22.0]])
-        charges = np.array([[0, 4, 6]])
-        return PathBatch(np.array([2]), prices, charges)
+        paths = hand_simulated(cfg, [[4], [6]], [[20.0, 30.0, 25.0, 22.0]])
+        np.testing.assert_array_equal(paths.charges, [[0, 4, 6]])
+        return paths
 
     def test_reward_decomposition_exact(self):
         cfg = MdpConfig(r_max=6, x_max=6, c_f=0.5, p_ref=0.05, gamma_h=0.01,
                         horizon=2)
-        paths = self.hand_paths()
+        paths = self.hand_paths(cfg)
         energy = (4 * 30.0 + 2 * 25.0) * MWH_PER_KWH
+        assert paths.energy_cost[0] == pytest.approx(energy, abs=1e-12)
         # final charge equals capacity, so no compensation
         assert compensation(paths, cfg, DESK_PM)[0] == 0.0
         assert practical_reward(paths, cfg, DESK_PM)[0] == pytest.approx(
@@ -269,7 +365,7 @@ class TestMetrics:
     def test_compensation_positive_on_shortfall(self):
         cfg = MdpConfig(r_max=10, x_max=5, c_f=0.5, p_ref=0.05, gamma_h=0.01,
                         horizon=2)
-        paths = self.hand_paths()  # benchmark min(2*5, 10) = 10, shortfall 4
+        paths = self.hand_paths(cfg)  # benchmark min(2*5, 10) = 10, shortfall 4
         comp = compensation(paths, cfg, DESK_PM)[0]
         y = (22.0 - DESK_PM.seasonality(3)) * MWH_PER_KWH
         want = (1.0 + 0.01 * 4 + cfg.gamma_y(y)) * 4 * 0.05
@@ -280,16 +376,16 @@ class TestMetrics:
     def test_indicator_boundary_inclusive(self):
         cfg = MdpConfig(r_max=60, x_max=60, c_f=0.5, p_ref=0.05, gamma_h=0.01,
                         horizon=2)
-        prices = np.array([[20.0, 30.0, 25.0, 22.0]] * 2)
         # 42/60 = 0.70 exactly: counted as a risk event; 43/60 is not
-        paths = PathBatch(np.array([2, 2]), prices, np.array([[0, 40, 42], [0, 40, 43]]))
+        paths = hand_simulated(cfg, [[40, 40], [42, 43]], [[20.0, 30.0, 25.0, 22.0]] * 2)
+        np.testing.assert_array_equal(paths.charges, [[0, 40, 42], [0, 40, 43]])
         np.testing.assert_array_equal(
             practical_risk(paths, "indicator", cfg, DESK_PM, delta=0.3), [1.0, 0.0])
 
     def test_risk_kinds(self):
         cfg = MdpConfig(r_max=10, x_max=5, c_f=0.5, p_ref=0.05, gamma_h=0.01,
                         horizon=2)
-        paths = self.hand_paths()
+        paths = self.hand_paths(cfg)
         assert practical_risk(paths, "shortage", cfg, DESK_PM)[0] == 4.0
         assert practical_risk(paths, "compensation", cfg, DESK_PM)[0] == pytest.approx(
             compensation(paths, cfg, DESK_PM)[0])
