@@ -14,13 +14,14 @@ fresh grid.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
 
 from evcharge.beta_search import solve_family
 from evcharge.cli import _write_csv
-from evcharge.config import preset
+from evcharge.config import ConfigError, preset
 from evcharge.policy_eval import ContinuousChargePolicy, Scenario
 
 
@@ -32,15 +33,19 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default="out")
     args = parser.parse_args(argv)
 
-    cfg = preset("full_scale")
-    n_paths = args.n_paths or cfg.n_paths
-    seed = args.seed if args.seed is not None else cfg.seed
+    # the preset's own checks reject an override before anything is solved
+    overrides = {"n_paths": args.n_paths, "seed": args.seed}
+    try:
+        cfg = dataclasses.replace(preset("full_scale"),
+                                  **{k: v for k, v in overrides.items() if v is not None})
+    except ConfigError as exc:
+        parser.error(str(exc))
     grid = cfg.build_grid()
     print(f"price grid: {len(grid)} points; horizons {cfg.tau.horizons[0]}"
-          f"..{cfg.tau.horizons[-1]}; {n_paths} paths")
+          f"..{cfg.tau.horizons[-1]}; {cfg.n_paths} paths")
 
     # one draw of tau and price paths, on which every policy is scored
-    scenario = Scenario.sample(cfg.tau, cfg.pm, cfg.p0, n_paths, seed)
+    scenario = Scenario.sample(cfg.tau, cfg.pm, cfg.p0, cfg.n_paths, cfg.seed)
 
     def measure(policy):
         return scenario.score(policy, cfg.mdp, risk_kind=cfg.risk_kind, delta=cfg.delta)

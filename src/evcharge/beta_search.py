@@ -21,18 +21,6 @@ from .price_model import PriceGrid, PriceModelParams
 from .risk import RiskSchedule
 
 
-@dataclass(frozen=True)
-class BetaSample:
-    """One sampled time-homogeneous risk parameter with its estimated metrics."""
-
-    lam: float
-    alpha: float
-    reward: float
-    reward_se: float
-    risk: float
-    risk_se: float
-
-
 def _bernstein(x: np.ndarray, degree: int) -> np.ndarray:
     """Bernstein basis polynomials of `degree` on [0, 1] at x, one column each."""
     k = np.arange(degree + 1)
@@ -85,8 +73,9 @@ def beta_grid(n_lambda: int, n_alpha: int) -> tuple[np.ndarray, np.ndarray]:
                        indexing="ij")
 
 
-def fit(data: list[BetaSample], target: str, degree: int) -> MonotoneFit:
-    """l1 fit of the reward or risk observations in the tensor Bernstein basis.
+def fit(data, target: str, degree: int) -> MonotoneFit:
+    """l1 fit of the reward or risk observations in the tensor Bernstein basis,
+    from ((lam, alpha), PracticalMetrics) pairs as PipelineResult.samples holds.
 
     target="risk" keeps every coefficient at or below its predecessor along
     each axis; target="reward" is unconstrained.  The LP takes the standard
@@ -99,12 +88,13 @@ def fit(data: list[BetaSample], target: str, degree: int) -> MonotoneFit:
         raise ValueError("target must be 'reward' or 'risk'")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    obs = np.array([s.risk if target == "risk" else s.reward for s in data])
+    betas, metrics = zip(*data)
+    obs = np.array([getattr(m, target) for m in metrics])
     # the basis sums to 1, so the median shifts every coefficient alike; flat
     # data then fit to zero and come back as exactly equal coefficients
     shift = float(np.median(obs))
     y = obs - shift
-    phi = _basis(np.array([s.lam for s in data]), np.array([s.alpha for s in data]), degree)
+    phi = _basis(*np.array(betas, dtype=float).T, degree)
     n, k = phi.shape
 
     # minimize sum(u + v) s.t. phi coef + u - v = y, u, v >= 0, coefficient rises <= 0
@@ -158,7 +148,8 @@ def select_beta(reward_fit: MonotoneFit, risk_fit: MonotoneFit,
 
 @dataclass(frozen=True)
 class PipelineResult:
-    samples: tuple[BetaSample, ...]
+    # per sampled beta: ((lam, alpha), its family's metrics)
+    samples: tuple[tuple[tuple[float, float], PracticalMetrics], ...]
     reward_fit: MonotoneFit
     risk_fit: MonotoneFit
     # per epsilon: (epsilon, its selection, the selected family's metrics)
@@ -204,9 +195,8 @@ def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
                 cfg, risk_kind=risk_kind, delta=delta)))
         return [cache[k] for k in keys]
 
-    sample_grid = list(sample_grid)
-    samples = [BetaSample(float(lam), float(alpha), m.reward, m.reward_se, m.risk, m.risk_se)
-               for (lam, alpha), m in zip(sample_grid, measure(sample_grid))]
+    sample_grid = [(float(lam), float(alpha)) for lam, alpha in sample_grid]
+    samples = tuple(zip(sample_grid, measure(sample_grid)))
 
     reward_fit = fit(samples, "reward", degree)
     risk_fit = fit(samples, "risk", degree)
@@ -214,5 +204,5 @@ def pipeline(sample_grid, cfg: MdpConfig, pm: PriceModelParams, grid: PriceGrid,
     selected = select_beta(reward_fit, risk_fit, epsilons)
     rn, *chosen = measure([(0.0, 0.5)] + [(sel.lam, sel.alpha) for sel in selected])
     default = scenario.score(ContinuousChargePolicy(cfg), cfg, risk_kind=risk_kind, delta=delta)
-    return PipelineResult(tuple(samples), reward_fit, risk_fit,
+    return PipelineResult(samples, reward_fit, risk_fit,
                           tuple(zip(map(float, epsilons), selected, chosen)), rn, default)

@@ -45,6 +45,12 @@ def _load(args) -> ExperimentConfig:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out_dir is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out_dir)
+    # an output directory that cannot be made fails here, before any work
+    base = os.path.abspath(cfg.output_dir)
+    while not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not (os.path.isdir(base) and os.access(base, os.W_OK | os.X_OK)):
+        raise ConfigError(f"output_dir: {base} is not a writable directory")
     return cfg
 
 
@@ -200,8 +206,8 @@ def cmd_pipeline(args) -> int:
                 "reward_pct_of_RN", "risk", "risk_pct_of_RN"], table)
     _write_csv(os.path.join(out, "metrics_samples.csv"),
                ["beta_lambda", "beta_alpha", "reward", "reward_se", "risk", "risk_se"],
-               ((s.lam, s.alpha, s.reward, s.reward_se, s.risk, s.risk_se)
-                for s in result.samples))
+               ((lam, alpha, m.reward, m.reward_se, m.risk, m.risk_se)
+                for (lam, alpha), m in result.samples))
     _write_csv(os.path.join(out, "beta_path.csv"),
                ["epsilon", "lambda_hat", "alpha_hat"],
                ((eps, sel.lam, sel.alpha) for eps, sel, _ in result.rows))

@@ -46,7 +46,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{field} must be >= {low}, got {value}")
 
     def build_grid(self) -> PriceGrid:
-        return build_grid(self.pm, span=self.grid_span)
+        try:
+            return build_grid(self.pm, span=self.grid_span)
+        except ValueError as exc:  # without grid_span, the escape rule found no span
+            raise ConfigError(f"grid_span: {exc}; set grid_span") from exc
 
     def sample_grid(self):
         return [(lam, alpha) for lam in self.sample_lambdas for alpha in self.sample_alphas]

@@ -81,15 +81,14 @@ class ThresholdPolicyFamily:
 
     def __init__(self, solutions: dict[int, MdpSolution] | list[dict[int, MdpSolution]]):
         self.solutions = solutions
-        families = [solutions] if isinstance(solutions, dict) else list(solutions)
-        self.horizons = set.intersection(*(set(f) for f in families))  # solved in every family
-        self.grid = next(iter(families[0].values())).grid
-        max_h = max(max(f) for f in families)
-        table = np.zeros((len(families), max_h + 1, max_h, len(self.grid)), int)
-        for b, family in enumerate(families):
+        families = np.array(solutions, dtype=object)  # shape () for a dict, (B,) for a list
+        self.horizons = set.intersection(*map(set, families.flat))  # solved in every family
+        self.grid = next(iter(families.flat[0].values())).grid
+        max_h = max(map(max, families.flat))
+        self.table = np.zeros(families.shape + (max_h + 1, max_h, len(self.grid)), int)
+        for b, family in np.ndenumerate(families):
             for h, sol in family.items():
-                table[b, h, :h] = sol.thresholds
-        self.table = table[0] if isinstance(solutions, dict) else table
+                self.table[b][h, :h] = sol.thresholds
 
     def levels(self, tau: np.ndarray, prices: np.ndarray) -> np.ndarray:
         """([families,] periods, paths) thresholds at each path's horizon, period
@@ -177,14 +176,18 @@ def practical_risk(paths: PathBatch, metric_kind: str, cfg: MdpConfig,
 
 def _aggregate(outcomes: np.ndarray, how: str, alpha: float, seed: int) -> tuple:
     """(estimate, SE) of outcomes along the path axis, the last, by how in
-    RISK_AGGS: "mean" gives one of each per leading index; "cvar" takes one
-    row of paths, gives floats and is for the tests and perfbench."""
+    RISK_AGGS, each of outcomes' leading shape; "cvar" takes the rows in turn."""
     n = outcomes.shape[-1]
     if how == "mean":
         return outcomes.mean(axis=-1), outcomes.std(ddof=1, axis=-1) / np.sqrt(n)
-    # sample CVaR across paths with a bootstrap standard error.  The outcomes are
-    # sorted once; a replicate weighs each sorted outcome by how often its
-    # resample drew that path, so no replicate is sorted and memory stays O(n)
+    return tuple(np.moveaxis(np.apply_along_axis(_cvar, -1, outcomes, alpha, seed), -1, 0))
+
+
+def _cvar(outcomes: np.ndarray, alpha: float, seed: int) -> tuple[float, float]:
+    """Sample CVaR of one row of paths with a bootstrap SE.  The outcomes are
+    sorted once; a replicate weighs each sorted outcome by how often its
+    resample drew that path, so no replicate is sorted and memory stays O(n)."""
+    n = len(outcomes)
     order = np.argsort(outcomes, kind="stable")
     ascending = outcomes[order]
     rp = RiskParams(1.0, alpha)
@@ -221,50 +224,47 @@ class Scenario:
 
     def simulate(self, policy, cfg: MdpConfig) -> PathBatch:
         """Every path under policy's basestock levels, each 0 (hold) from its tau
-        on.  Levels with a leading family axis (a ThresholdPolicyFamily batch)
-        step every family's paths in the one loop, which prices each period's
-        purchases as it goes; the PathBatch then carries that axis."""
+        on.  Every family of a ThresholdPolicyFamily batch steps in the one
+        loop, which prices each period's purchases as it goes; the levels'
+        leading shape leads the PathBatch's charges and energy_cost."""
         steps, n = int(self.tau.max()), len(self.tau)
         level = policy.levels(self.tau, self.prices[:, :steps])
-        batch = np.ndim(level) == 3
-        level = np.broadcast_to(level, (len(level) if batch else 1, steps, n))
+        lead = np.shape(level)[:-2]  # () for one policy, (B,) for a batch of families
+        level = np.broadcast_to(level, lead + (steps, n))
         prices = self.prices.T  # the time-major block
         # one time-major row of every family's paths per period
-        charges = np.empty((len(prices) - 1,) + level.shape[::2], dtype=int)
+        charges = np.empty((len(prices) - 1,) + lead + (n,), dtype=int)
         charges[0] = cfg.r0
         cost, bought, priced = (np.zeros(charges.shape[1:]), np.empty(charges.shape[1:], int),
                                 np.empty(charges.shape[1:]))
         for t in range(steps):
-            basestock(level[:, t], charges[t], cfg, out=charges[t + 1])
+            basestock(level[..., t, :], charges[t], cfg, out=charges[t + 1])
             # added in t order, as a sum over the time-major purchases would be
             cost += np.multiply(np.subtract(charges[t + 1], charges[t], out=bought),
                                 prices[t + 1], out=priced)
         charges[steps + 1:] = charges[steps]
         cost *= MWH_PER_KWH
-        if batch:
-            return PathBatch(self.tau, self.prices, charges.transpose(1, 2, 0), cost)
-        return PathBatch(self.tau, self.prices, charges[:, 0].T, cost[0])
+        return PathBatch(self.tau, self.prices, np.moveaxis(charges, 0, -1), cost)
 
     def score(self, policy, cfg: MdpConfig, risk_kind: str = "indicator",
               risk_agg: str = "mean", agg_alpha: float = 0.9,
               delta: float = 0.3) -> PracticalMetrics | list[PracticalMetrics]:
         """Estimated practical reward and risk of policy, with standard errors:
-        one PracticalMetrics per family of a batch (see simulate), reduced along
-        the path axis for every family at once."""
+        one PracticalMetrics, or a list of one per family of a batch (see
+        simulate), reduced along the path axis for every family at once."""
         n_paths = len(self.tau)
         if n_paths < 2:
             raise ValueError("n_paths must be >= 2")
         if risk_agg not in RISK_AGGS:
             raise ValueError(f"unknown risk aggregation {risk_agg!r}")
         paths = self.simulate(policy, cfg)
-        rewards = practical_reward(paths, cfg, self.pm).reshape(-1, n_paths)
-        risks = practical_risk(paths, risk_kind, cfg, self.pm, delta).reshape(-1, n_paths)
-        reward = _aggregate(rewards, "mean", agg_alpha, self.seed)
-        risk = (_aggregate(risks, "mean", agg_alpha, self.seed) if risk_agg == "mean" else
-                np.transpose([_aggregate(row, risk_agg, agg_alpha, self.seed) for row in risks]))
+        reward = _aggregate(practical_reward(paths, cfg, self.pm), "mean", agg_alpha, self.seed)
+        risk = _aggregate(practical_risk(paths, risk_kind, cfg, self.pm, delta), risk_agg,
+                          agg_alpha, self.seed)
+        # tolist() keeps every field a Python float
         metrics = [PracticalMetrics(*m, n_paths)
-                   for m in zip(*map(np.ndarray.tolist, (*reward, *risk)))]
-        return metrics if paths.charges.ndim == 3 else metrics[0]
+                   for m in zip(*(np.ravel(a).tolist() for a in (*reward, *risk)))]
+        return np.array(metrics, dtype=object).reshape(np.shape(reward[0])).tolist()
 
 
 def estimate(policy, tau_dist: TauDist, cfg: MdpConfig, pm: PriceModelParams,

@@ -293,14 +293,16 @@ def bernstein_sum(coef: np.ndarray, lam: np.ndarray, alpha: np.ndarray) -> np.nd
 
 def l1_fit_inequality_form(data, target: str, degree: int) -> float:
     """Least l1 error of a tensor Bernstein surface of `degree` through the
-    samples' `target` ("reward" or "risk") observations, from the LP
-    min sum(e) s.t. -e <= phi coef - y <= e: two inequality rows per sample.
+    `target` ("reward" or "risk") observations of ((lam, alpha), metrics)
+    samples, from the LP min sum(e) s.t. -e <= phi coef - y <= e: two
+    inequality rows per sample.
     The risk adds one row per neighbouring pair, coef[i+1, j] <= coef[i, j]
     and coef[i, j+1] <= coef[i, j].  The basis columns are built term by term
     from the definition; y is the observations less their median, as the
     basis sums to 1."""
     from scipy.optimize import linprog
-    lam, alpha, obs = (np.array([getattr(s, a) for s in data]) for a in ("lam", "alpha", target))
+    lam, alpha = np.array([beta for beta, _ in data]).T
+    obs = np.array([getattr(m, target) for _, m in data])
     d = degree
     phi = np.column_stack([math.comb(d, i) * lam ** i * (1 - lam) ** (d - i)
                            * math.comb(d, j) * alpha ** j * (1 - alpha) ** (d - j)

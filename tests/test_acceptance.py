@@ -15,6 +15,7 @@ from evcharge.config import DESK_SCALE, preset
 from evcharge.mdp import solve, verify_structure
 from evcharge.policy_eval import (
     ContinuousChargePolicy,
+    PracticalMetrics,
     Scenario,
     TauDist,
     ThresholdPolicyFamily,
@@ -208,8 +209,6 @@ def test_criterion_7_full_scale_anchors():
 
 
 def test_criterion_8_monotone_regression():
-    from evcharge.beta_search import BetaSample
-
     def poly(lam, alpha):
         # nonincreasing cubic on [0,1]^2
         return 1.0 - 0.3 * lam - 0.2 * alpha - 0.2 * lam ** 3 - 0.1 * alpha ** 3 \
@@ -221,7 +220,7 @@ def test_criterion_8_monotone_regression():
         lam = float(rng.uniform(0, 1))
         alpha = float(rng.uniform(0.01, 0.99))
         v = poly(lam, alpha) + float(rng.uniform(-0.01, 0.01))
-        data.append(BetaSample(lam, alpha, v, 0.0, v, 0.0))
+        data.append(((lam, alpha), PracticalMetrics(v, 0.0, v, 0.0, 1)))
     f = fit(data, "risk", degree=3)
     per_point = f.l1_error / len(data)
     # the surface on a 200 x 200 grid, not the fit's coefficients, must not rise

@@ -1,17 +1,18 @@
 import copy
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evcharge import beta_search, mdp
-from evcharge.beta_search import (BetaSample, MonotoneFit, SelectedBeta, fit, pipeline,
-                                  select_beta)
+from evcharge import beta_search, cli, mdp
+from evcharge.beta_search import MonotoneFit, SelectedBeta, fit, pipeline, select_beta
 from evcharge.config import DESK_SCALE, FULL_SCALE, ConfigError, from_dict, preset
 from evcharge.mdp import solve
-from evcharge.policy_eval import Scenario, TauDist
+from evcharge.policy_eval import PracticalMetrics, Scenario, TauDist
 from evcharge.price_model import PriceGrid
 from evcharge.risk import RiskParams, RiskSchedule
 
@@ -28,9 +29,13 @@ def make_samples(func, n=100, seed=0, noise=0.0):
         lam = float(rng.uniform(0, 1))
         alpha = float(rng.uniform(0.01, 0.99))
         v = func(lam, alpha) + (rng.uniform(-noise, noise) if noise else 0.0)
-        out.append(BetaSample(lam, alpha, reward=v, reward_se=0.0,
-                              risk=v, risk_se=0.0))
+        out.append(sample(lam, alpha, v, v))
     return out
+
+
+def sample(lam, alpha, reward, risk):
+    """A ((lam, alpha), PracticalMetrics) pair, as PipelineResult.samples holds."""
+    return (lam, alpha), PracticalMetrics(reward, 0.0, risk, 0.0, 1)
 
 
 def plane(lam, alpha):
@@ -54,9 +59,8 @@ class TestFit:
         assert float(f(0.5, 0.5)) == pytest.approx(0.60, abs=1e-8)
 
     def test_degree_zero_is_l1_constant(self):
-        data = [BetaSample(0.1, 0.1, 1.0, 0, 1.0, 0),
-                BetaSample(0.5, 0.5, 2.0, 0, 2.0, 0),
-                BetaSample(0.9, 0.9, 10.0, 0, 10.0, 0)]
+        data = [sample(0.1, 0.1, 1.0, 1.0), sample(0.5, 0.5, 2.0, 2.0),
+                sample(0.9, 0.9, 10.0, 10.0)]
         f = fit(data, "reward", degree=0)
         # l1 best constant is the median
         assert f.coef.shape == (1, 1)
@@ -102,8 +106,7 @@ class TestFit:
 
 
 def full_scale_samples(reward, risk):
-    return [BetaSample(lam, alpha, reward, 0.0, risk, 0.0)
-            for lam, alpha in preset("full_scale").sample_grid()]
+    return [sample(lam, alpha, reward, risk) for lam, alpha in preset("full_scale").sample_grid()]
 
 
 def test_flat_fit_is_exactly_flat_and_keeps_the_tie_break():
@@ -145,13 +148,10 @@ def test_pipeline_samples_equal_each_family_scored_alone():
     grid = cfg.build_grid()
     scenario = Scenario.sample(cfg.tau, cfg.pm, cfg.p0, cfg.n_paths, cfg.seed)
     samples = pipeline_desk_samples(7)
-    assert len(samples) == 110 and len({s.reward for s in samples}) > 1
-    for s in samples:
-        family = beta_search.solve_family(s.lam, s.alpha, cfg.mdp, cfg.pm, grid,
-                                          cfg.tau.horizons)
-        m = scenario.score(family, cfg.mdp, risk_kind=cfg.risk_kind, delta=cfg.delta)
-        assert (s.reward, s.reward_se, s.risk, s.risk_se) == (m.reward, m.reward_se,
-                                                              m.risk, m.risk_se)
+    assert len(samples) == 110 and len({m.reward for _, m in samples}) > 1
+    for (lam, alpha), m in samples:
+        family = beta_search.solve_family(lam, alpha, cfg.mdp, cfg.pm, grid, cfg.tau.horizons)
+        assert m == scenario.score(family, cfg.mdp, risk_kind=cfg.risk_kind, delta=cfg.delta)
 
 
 @pytest.mark.parametrize("seed", [3, 7, 12, 23])
@@ -161,7 +161,7 @@ def test_fit_succeeds_at_every_degree(seed):
     # form that fit poses; the fit must solve every LP it builds and reach the
     # inequality form's optimum
     data = pipeline_desk_samples(seed)
-    assert len({s.reward for s in data}) > 1
+    assert len({m.reward for _, m in data}) > 1
     for degree in range(1, 11):
         reward, risk = fit(data, "reward", degree), fit(data, "risk", degree)
         for target, f in (("reward", reward), ("risk", risk)):
@@ -328,9 +328,9 @@ def test_pipeline_solves_each_effective_beta_once(monkeypatch, sample_grid):
                               for lam, alpha in sample_grid}
     # alpha plays no part at lam = 0: one risk-neutral solve, shared by the anchor
     assert sum(lam == 0.0 for lam, _ in solved) == 1
-    for s in result.samples:
-        if s.lam == 0.0:
-            assert (s.reward, s.risk) == (result.rn.reward, result.rn.risk)
+    for (lam, _), m in result.samples:
+        if lam == 0.0:
+            assert m == result.rn
 
 
 def test_pipeline_rows_keep_the_selection_and_its_metrics():
@@ -343,18 +343,62 @@ def test_pipeline_rows_keep_the_selection_and_its_metrics():
     result = pipeline(cfg.sample_grid(), cfg.mdp, cfg.pm, cfg.build_grid(), cfg.tau,
                       epsilons, cfg.n_paths, cfg.seed, 30.0, degree=cfg.degree,
                       risk_kind=cfg.risk_kind, delta=cfg.delta)
-    assert len({s.reward for s in result.samples}) > 1
+    assert len({m.reward for _, m in result.samples}) > 1
     assert [eps for eps, _, _ in result.rows] == list(epsilons)
     sampled = 0
     for eps, sel, m in result.rows:
         assert sel == select_beta(result.reward_fit, result.risk_fit, [eps])[0]
         assert m.n_paths == cfg.n_paths
-        for s in result.samples:
-            if (s.lam, s.alpha) == (sel.lam, sel.alpha) or s.lam == sel.lam == 0.0:
-                assert (m.reward, m.reward_se, m.risk, m.risk_se) == (
-                    s.reward, s.reward_se, s.risk, s.risk_se)
+        for (lam, alpha), s in result.samples:
+            if (lam, alpha) == (sel.lam, sel.alpha) or lam == sel.lam == 0.0:
+                assert m == s
                 sampled += 1
     assert sampled > 0
+
+
+def test_pipeline_whose_sampled_risks_differ(tmp_path, monkeypatch):
+    # the full-scale model charging at most 20 of 60 kWh a period, scored by
+    # shortage: the sampled risks differ and the budgets select lam > 0.  The
+    # CSV, the selected rows and the fits all read the metrics the samples hold
+    raw = copy.deepcopy(FULL_SCALE)
+    raw["mdp"]["x_max"] = 20
+    raw["simulation"].update(risk_kind="shortage", n_paths=400)
+    raw["beta_search"] = {"degree": 2, "epsilons": [0.05, 0.2, 0.5],
+                          "sample_lambdas": [0.0, 0.5, 1.0], "sample_alphas": [0.1, 0.5, 0.9]}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    results = []
+
+    def keeping(*args, **kwargs):
+        results.append(pipeline(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(beta_search, "pipeline", keeping)
+    assert cli.main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    [result] = results
+    assert len({m.risk for _, m in result.samples}) >= 2
+    assert any(sel.lam > 0.0 for _, sel, _ in result.rows)
+
+    with open(tmp_path / "metrics_samples.csv") as fh:
+        assert list(csv.reader(fh))[1:] == [
+            [f"{v:.6f}" for v in (lam, alpha, m.reward, m.reward_se, m.risk, m.risk_se)]
+            for (lam, alpha), m in result.samples]
+
+    cfg = from_dict(raw)
+    grid = cfg.build_grid()
+    scenario = Scenario.sample(cfg.tau, cfg.pm, cfg.p0, cfg.n_paths, cfg.seed)
+    for _, sel, m in result.rows:
+        family = beta_search.solve_family(sel.lam, sel.alpha, cfg.mdp, cfg.pm, grid,
+                                          cfg.tau.horizons)
+        assert m == scenario.score(family, cfg.mdp, risk_kind=cfg.risk_kind, delta=cfg.delta)
+
+    zero = PracticalMetrics(0.0, 0.0, 0.0, 0.0, 0)
+    for target, got in (("reward", result.reward_fit), ("risk", result.risk_fit)):
+        # the target values by hand, every other field zero
+        hand = [((lam, alpha), replace(zero, **{target: getattr(m, target)}))
+                for (lam, alpha), m in result.samples]
+        want = fit(hand, target, cfg.degree)
+        assert np.array_equal(got.coef, want.coef) and got.l1_error == want.l1_error
 
 
 @pytest.mark.parametrize("lam,alpha", [(0.0, 0.5), (0.6, 0.8)])

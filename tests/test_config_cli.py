@@ -20,6 +20,7 @@ from evcharge.config import (
     FULL_SCALE,
     SCHEMA,
     ConfigError,
+    ExperimentConfig,
     from_dict,
     load_config,
     preset,
@@ -407,6 +408,34 @@ def test_bad_flag_is_config_error(tmp_path, capsys, argv, flag):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("config error: ") and flag in line
     assert not out.exists()
+
+
+def test_grid_span_the_escape_rule_cannot_find_is_config_error(tmp_path, capsys):
+    # with no grid_span and almost no mean reversion no span meets the escape
+    # tolerance; price-check raised a ValueError traceback
+    raw = small_raw()
+    del raw["grid_span"]
+    raw["price_model"]["kappa_Y"] = 1e-6
+    out = tmp_path / "out"
+    code = main(["price-check", "--config", write_cfg(tmp_path, raw), "--out-dir", str(out)])
+    assert code == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: grid_span: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+def test_output_dir_under_a_file_is_config_error(tmp_path, capsys, monkeypatch, command):
+    # it raised NotADirectoryError once the first CSV was written, for pipeline
+    # after every family was solved, fitted and scored; now nothing is built
+    monkeypatch.setattr(ExperimentConfig, "build_grid", lambda self: pytest.fail("grid built"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main([command, "--config", write_cfg(tmp_path, small_raw()),
+                 "--out-dir", str(blocker / "sub")])
+    assert code == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: output_dir: ")
 
 
 # a config file that cannot be read or parsed; each raised a traceback:

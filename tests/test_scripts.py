@@ -7,6 +7,8 @@ import subprocess
 import sys
 import tempfile
 
+import pytest
+
 import evcharge
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -46,6 +48,16 @@ def test_full_scale_comparison(tmp_path):
     for r in rows:
         assert 0.0 <= float(r["risk"]) <= 1.0
         assert float(r["reward_se"]) >= 0.0
+
+
+@pytest.mark.parametrize("override", [["--n-paths", "0"], ["--n-paths", "1"], ["--seed", "-1"]])
+def test_full_scale_comparison_rejects_a_bad_override(tmp_path, override):
+    # --n-paths 0 ran the preset's 10^5 paths; --n-paths 1 solved a family and
+    # then raised a traceback in Scenario.score
+    proc = run_script("full_scale_comparison.py", *override, "--out-dir", str(tmp_path))
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr and override[0][2:].replace("-", "_") in proc.stderr
+    assert not (tmp_path / "policy_comparison.csv").exists()
 
 
 def test_identity_digest():
